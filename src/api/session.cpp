@@ -1,5 +1,6 @@
 #include "api/session.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "api/json.hpp"
@@ -9,6 +10,18 @@
 #include "core/parallel.hpp"
 
 namespace pp::api {
+
+namespace {
+
+using Runs = std::vector<std::shared_ptr<const core::ScenarioResult>>;
+
+/// The `n` fan-out results starting at slot `at`.
+[[nodiscard]] Runs slots(const Runs& runs, std::size_t at, std::size_t n) {
+  return {runs.begin() + static_cast<std::ptrdiff_t>(at),
+          runs.begin() + static_cast<std::ptrdiff_t>(at + n)};
+}
+
+}  // namespace
 
 // ------------------------------------------------------------------- stack
 
@@ -59,6 +72,7 @@ Result Session::run(const ExperimentSpec& spec) {
 
   const SessionOptions eff = apply_spec(spec, opts_);
   const int seeds = spec.seeds > 0 ? spec.seeds : default_seeds(eff.scale);
+  const auto seed_count = static_cast<std::size_t>(seeds);
 
   Result res;
   res.kind = spec.kind;
@@ -91,41 +105,45 @@ Result Session::run(const ExperimentSpec& spec) {
   try {
     ViewStack v(eff, spec.seeds, *store_);
 
-    // Seed-averaged solo baseline of one flow, fanned over the *session's*
-    // thread budget (SoloProfiler::profile_spec would use the environment's).
-    const auto solo_baseline = [&](const core::FlowSpec& f) {
-      return core::SoloProfiler::merge_plan(
-          store_->get_or_run_many(v.solo.plan(f), eff.threads));
-    };
-
     switch (spec.kind) {
       case ExperimentKind::kSolo: {
         const std::vector<core::Scenario> plan = lower_spec(spec, v.tb);
         const auto runs = store_->get_or_run_many(plan, eff.threads);
         for (std::size_t i = 0; i < spec.flows.size(); ++i) {
-          const std::vector<std::shared_ptr<const core::ScenarioResult>> slice(
-              runs.begin() + static_cast<std::ptrdiff_t>(i * static_cast<std::size_t>(seeds)),
-              runs.begin() +
-                  static_cast<std::ptrdiff_t>((i + 1) * static_cast<std::size_t>(seeds)));
           FlowReport fr;
           fr.spec = spec.flows[i];
-          fr.metrics = core::SoloProfiler::merge_plan(slice);
+          fr.metrics = core::SoloProfiler::merge_plan(slots(runs, i * seed_count, seed_count));
           fr.solo_pps = fr.metrics.pps();
           res.flows.push_back(std::move(fr));
         }
         break;
       }
       case ExperimentKind::kCorun: {
-        const std::vector<core::Scenario> plan = lower_spec(spec, v.tb);
+        // One store fan-out: the corun seeds first, then the solo plan of
+        // each distinct flow spec (a repeated spec reuses its first
+        // occurrence's slots). Aggregation reads fixed slots in flow order.
+        std::vector<core::Scenario> plan = lower_spec(spec, v.tb);
+        std::vector<std::size_t> solo_at(spec.flows.size());
+        for (std::size_t i = 0; i < spec.flows.size(); ++i) {
+          const auto first = std::find(spec.flows.begin(), spec.flows.end(), spec.flows[i]);
+          const auto j = static_cast<std::size_t>(first - spec.flows.begin());
+          if (j < i) {
+            solo_at[i] = solo_at[j];
+            continue;
+          }
+          solo_at[i] = plan.size();
+          for (core::Scenario& s : v.solo.plan(spec.flows[i])) plan.push_back(std::move(s));
+        }
         const auto runs = store_->get_or_run_many(plan, eff.threads);
         for (std::size_t i = 0; i < spec.flows.size(); ++i) {
           std::vector<core::FlowMetrics> per_seed;
-          per_seed.reserve(runs.size());
-          for (const auto& r : runs) per_seed.push_back((*r)[i]);
+          per_seed.reserve(seed_count);
+          for (std::size_t s = 0; s < seed_count; ++s) per_seed.push_back((*runs[s])[i]);
           FlowReport fr;
           fr.spec = spec.flows[i];
           fr.metrics = core::merge_metrics(per_seed);
-          const core::FlowMetrics solo = solo_baseline(spec.flows[i]);
+          const core::FlowMetrics solo =
+              core::SoloProfiler::merge_plan(slots(runs, solo_at[i], seed_count));
           fr.solo_pps = solo.pps();
           fr.drop_pct = core::drop_pct(solo, fr.metrics);
           res.flows.push_back(std::move(fr));
@@ -144,18 +162,15 @@ Result Session::run(const ExperimentSpec& spec) {
         // sum of its competitors' solo refs/sec.
         const auto sweeps = v.sweep.sweep_many(spec.flows, core::ContentionMode::kBoth,
                                                core::SweepProfiler::default_levels(eff.scale));
-        std::vector<core::FlowMetrics> solos;
-        solos.reserve(spec.flows.size());
-        for (const core::FlowSpec& f : spec.flows) solos.push_back(solo_baseline(f));
         for (std::size_t i = 0; i < spec.flows.size(); ++i) {
           double competing_refs = 0;
           for (std::size_t j = 0; j < spec.flows.size(); ++j) {
-            if (j != i) competing_refs += solos[j].refs_per_sec();
+            if (j != i) competing_refs += sweeps[j].solo.refs_per_sec();
           }
           FlowReport fr;
           fr.spec = spec.flows[i];
-          fr.metrics = solos[i];
-          fr.solo_pps = solos[i].pps();
+          fr.metrics = sweeps[i].solo;
+          fr.solo_pps = sweeps[i].solo.pps();
           fr.drop_pct = sweeps[i].curve.drop_at(competing_refs);
           res.flows.push_back(std::move(fr));
         }

@@ -1,5 +1,6 @@
 #include "core/profile_store.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
@@ -184,33 +185,36 @@ std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::get_or_run_many
   std::vector<ScenarioKey> keys;
   keys.reserve(scenarios.size());
   for (const Scenario& s : scenarios) keys.push_back(scenario_key(s));
-  // All-hit fast path: re-aggregations of already-profiled plans (every
-  // predict() after the first, warm bench re-runs) should not spin up the
-  // thread pool just to collect memory hits.
-  bool all_ready = true;
-  for (const ScenarioKey& k : keys) {
-    if (!is_ready(k)) {
-      all_ready = false;
-      break;
-    }
-  }
-  if (all_ready) {
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      out[i] = get_or_run_keyed(scenarios[i], keys[i]);
-    }
-    return out;
-  }
   // parallel_for fns must not throw (core/parallel.hpp): trap per-slot, let
   // every job finish, then rethrow the lowest-index error — which scenario
-  // fails is thread-count invariant.
+  // fails is thread-count and dispatch-order invariant.
   std::vector<std::exception_ptr> errors(scenarios.size());
-  parallel_for(scenarios.size(), threads, [&](std::size_t i) {
+  const auto run_slot = [&](std::size_t i) {
     try {
       out[i] = get_or_run_keyed(scenarios[i], keys[i]);
     } catch (...) {
       errors[i] = std::current_exception();
     }
+  };
+  // Memory hits are collected inline: re-aggregations of already-profiled
+  // plans (warm requests, a corun whose solos are stored) should not spin
+  // up the thread pool just for them.
+  std::vector<std::size_t> pending;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    if (is_ready(keys[i])) {
+      run_slot(i);
+    } else {
+      pending.push_back(i);
+    }
+  }
+  // Heaviest first: a run's host cost grows with its flow count, so a
+  // 6-flow corun or sweep level must not start last behind 1-flow solos.
+  // The order is a stable function of the scenarios themselves (never of
+  // host time); results still land in their input slots.
+  std::stable_sort(pending.begin(), pending.end(), [&](std::size_t a, std::size_t b) {
+    return scenarios[a].flows.size() > scenarios[b].flows.size();
   });
+  parallel_for(pending.size(), threads, [&](std::size_t k) { run_slot(pending[k]); });
   for (const std::exception_ptr& err : errors) {
     if (err) std::rethrow_exception(err);
   }

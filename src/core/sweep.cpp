@@ -141,11 +141,10 @@ std::vector<SweepResult> SweepProfiler::sweep_many(const std::vector<FlowSpec>& 
     const std::vector<std::shared_ptr<const ScenarioResult>> solo_runs(
         runs.begin() + static_cast<std::ptrdiff_t>(base),
         runs.begin() + static_cast<std::ptrdiff_t>(base + static_cast<std::size_t>(seeds)));
-    const FlowMetrics solo = SoloProfiler::merge_plan(solo_runs);
-
     SweepResult result;
     result.target = targets[t].type;
     result.mode = mode;
+    result.solo = SoloProfiler::merge_plan(solo_runs);
     for (std::size_t l = 0; l < levels.size(); ++l) {
       std::vector<FlowMetrics> target_runs;
       double comp_refs_sum = 0;
@@ -161,7 +160,7 @@ std::vector<SweepResult> SweepProfiler::sweep_many(const std::vector<FlowSpec>& 
       lvl.syn = levels[l];
       lvl.target = merge_metrics(target_runs);
       lvl.competing_refs_per_sec = comp_refs_sum / seeds;
-      lvl.drop_pct = drop_pct(solo, lvl.target);
+      lvl.drop_pct = drop_pct(result.solo, lvl.target);
       result.levels.push_back(std::move(lvl));
     }
     for (const SweepLevel& l : result.levels) {

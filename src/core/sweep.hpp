@@ -63,6 +63,7 @@ struct SweepLevel {
 struct SweepResult {
   FlowType target = FlowType::kIp;
   ContentionMode mode = ContentionMode::kBoth;
+  FlowMetrics solo;  // the target's seed-averaged solo baseline
   std::vector<SweepLevel> levels;
   SweepCurve curve;
 };

@@ -1,6 +1,7 @@
 // api::Session batch execution: canonical-form dedup in run_many, bitwise
-// serial-vs-parallel identity over a 12-spec batch, and NaN-free structured
-// results for degenerate specs.
+// serial-vs-parallel identity over a 12-spec batch, NaN-free structured
+// results for degenerate specs, and the corun's single store fan-out locked
+// byte-for-byte to the serial solo-after-corun composition.
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
@@ -29,6 +30,48 @@ ExperimentSpec tiny_corun(FlowType a, FlowType b, std::uint64_t seed = 1) {
   spec.warmup_ms = 0.2;
   spec.measure_ms = 0.4;
   return spec;
+}
+
+/// A corun spec over `flows` at `fidelity` with the scale's default windows.
+ExperimentSpec corun_of(std::vector<FlowSpec> flows, sim::SimFidelity fidelity) {
+  ExperimentSpec spec;
+  spec.kind = ExperimentKind::kCorun;
+  spec.flows = std::move(flows);
+  spec.fidelity = fidelity;
+  return spec;
+}
+
+/// The serial composition a corun is locked to: the corun plan fanned out
+/// alone, then one fan-out per flow for its solo baseline, on `store`.
+Result serial_corun(const ExperimentSpec& spec, core::ProfileStore& store) {
+  const SessionOptions eff = apply_spec(spec, test_options());
+  ViewStack v(eff, spec.seeds, store);
+  Result res;
+  res.kind = spec.kind;
+  res.scale = eff.scale;
+  res.fidelity = eff.fidelity;
+  res.seeds = v.solo.seeds();
+  const auto runs = store.get_or_run_many(lower_spec(spec, v.tb), 1);
+  for (std::size_t i = 0; i < spec.flows.size(); ++i) {
+    std::vector<core::FlowMetrics> per_seed;
+    for (const auto& r : runs) per_seed.push_back((*r)[i]);
+    FlowReport fr;
+    fr.spec = spec.flows[i];
+    fr.metrics = core::merge_metrics(per_seed);
+    const core::FlowMetrics solo =
+        core::SoloProfiler::merge_plan(store.get_or_run_many(v.solo.plan(spec.flows[i]), 1));
+    fr.solo_pps = solo.pps();
+    fr.drop_pct = core::drop_pct(solo, fr.metrics);
+    res.flows.push_back(std::move(fr));
+  }
+  return res;
+}
+
+void expect_same_bytes(const Result& want, const Result& got, const std::string& what) {
+  ASSERT_TRUE(got.ok()) << what << ": " << got.to_text();
+  EXPECT_EQ(want.to_text(), got.to_text()) << what;
+  EXPECT_EQ(want.to_csv(), got.to_csv()) << what;
+  EXPECT_EQ(want.to_json(), got.to_json()) << what;
 }
 
 TEST(Session, RunManyDedupsIdenticalSpecs) {
@@ -127,6 +170,47 @@ TEST(Session, SoloResultMatchesProfilerView) {
   const std::uint64_t simulated = store.stats().simulated;
   (void)session.run(spec);
   EXPECT_EQ(store.stats().simulated, simulated);
+}
+
+TEST(Session, CorunFanOutMatchesSerialComposition) {
+  // One store fan-out (corun seeds + every flow's solo plan, heaviest
+  // first) renders exactly what the serial composition rendered, at any
+  // thread count, and simulates nothing beyond the 1 + N scenarios.
+  const std::vector<FlowSpec> flows = {FlowSpec::of(FlowType::kIp), FlowSpec::of(FlowType::kMon),
+                                       FlowSpec::of(FlowType::kFw), FlowSpec::of(FlowType::kRe)};
+  for (const sim::SimFidelity fidelity : {sim::SimFidelity::kExact, sim::SimFidelity::kStreamed}) {
+    const ExperimentSpec spec = corun_of(flows, fidelity);
+    core::ProfileStore ref_store;
+    const Result want = serial_corun(spec, ref_store);
+    for (const int threads : {1, 4}) {
+      const std::string what =
+          std::string(sim::to_string(fidelity)) + " threads=" + std::to_string(threads);
+      core::ProfileStore store;
+      Session session(test_options(threads), &store);
+      expect_same_bytes(want, session.run(spec), what);
+      EXPECT_EQ(store.stats().simulated, 1 + flows.size()) << what;
+      EXPECT_EQ(store.stats().coalesced, ref_store.stats().coalesced) << what;
+    }
+  }
+}
+
+TEST(Session, CorunRepeatedFlowSpecSharesOneSoloPlan) {
+  // A mix that repeats a flow spec plans that spec's solo runs once: no
+  // duplicate slot in the fan-out, so nothing coalesces that did not before.
+  const FlowSpec ip = FlowSpec::of(FlowType::kIp);
+  const ExperimentSpec spec =
+      corun_of({ip, FlowSpec::of(FlowType::kMon), ip}, sim::SimFidelity::kStreamed);
+  core::ProfileStore ref_store;
+  const Result want = serial_corun(spec, ref_store);
+  for (const int threads : {1, 4}) {
+    const std::string what = "threads=" + std::to_string(threads);
+    core::ProfileStore store;
+    Session session(test_options(threads), &store);
+    expect_same_bytes(want, session.run(spec), what);
+    EXPECT_EQ(store.stats().simulated, ref_store.stats().simulated) << what;
+    EXPECT_EQ(store.stats().simulated, 1U + 2U) << what;
+    EXPECT_EQ(store.stats().coalesced, ref_store.stats().coalesced) << what;
+  }
 }
 
 }  // namespace

@@ -281,16 +281,32 @@ TEST(StoreFault, InjectedScenarioFaultThrowsAndReleasesTheKey) {
 }
 
 TEST(StoreFault, GetOrRunManyRethrowsLowestIndexError) {
-  InjectedFault f("scenario.run:fail@1.0");  // every run fails
-  ProfileStore store;
-  const std::vector<Scenario> jobs = {tiny_scenario(1), tiny_scenario(2), tiny_scenario(3)};
-  for (int threads : {1, 3}) {
+  // Two slots fail with budget errors that name their own numbers. The
+  // higher-index one has more flows, so heaviest-first dispatch runs it
+  // first; the lower-index error must still be the one rethrown.
+  const auto over_budget = [](std::vector<FlowSpec> flows, std::uint64_t seed, double budget) {
+    Testbed tb(Scale::kQuick, 1);
+    RunConfig cfg = tb.configure(std::move(flows), seed);
+    cfg.warmup_ms = 0.2;
+    cfg.measure_ms = 0.4;
+    cfg.budget_ms = budget;
+    return Scenario::of(tb, cfg);
+  };
+  const FlowSpec mon = FlowSpec::of(FlowType::kMon);
+  const std::vector<Scenario> jobs = {tiny_scenario(1), over_budget({mon}, 2, 0.5),
+                                      tiny_scenario(3), over_budget({mon, mon}, 4, 0.25)};
+  for (int threads : {1, 4}) {
+    ProfileStore store;
     try {
       (void)store.get_or_run_many(jobs, threads);
-      FAIL() << "all-failing batch must throw (threads=" << threads << ")";
+      FAIL() << "a batch with failing slots must throw (threads=" << threads << ")";
     } catch (const StatusError& e) {
-      EXPECT_EQ(e.status().kind, StatusKind::kFaultInjected);
+      EXPECT_EQ(e.status().kind, StatusKind::kBudgetExceeded);
+      EXPECT_NE(e.status().detail.find("run budget 0.500 ms"), std::string::npos)
+          << "threads=" << threads << ": " << e.status().detail;
     }
+    // Every healthy slot still ran to completion.
+    EXPECT_EQ(store.stats().simulated, 2U) << "threads=" << threads;
   }
 }
 
