@@ -161,7 +161,7 @@ struct ConfigRun {
 /// Scenario-engine demonstration: the same small SYN sweep driven through a
 /// ProfileStore twice. The cold pass simulates; the warm pass must aggregate
 /// memoized results only (warm_simulated == 0) — the in-process equivalent
-/// of the CI job that re-runs bench_fig4 against a populated PROFILE_CACHE.
+/// of the CI job that re-runs the fig4 spec against a populated PROFILE_CACHE.
 struct CacheDemo {
   double cold_host_seconds = 0;
   double warm_host_seconds = 0;

@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -26,16 +27,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Body bytes exactly as a direct `ppctl run` would print the same Result
-/// (text gets the trailing newline print_result adds; csv/json are raw) —
-/// the client writes the body verbatim, which is what makes served output
-/// byte-identical to one-shot output.
-[[nodiscard]] std::string render_result(const Result& r, const std::string& format) {
-  if (format == "json") return r.to_json();
-  if (format == "csv") return r.to_csv();
-  return r.to_text() + "\n";
-}
-
 [[nodiscard]] std::string error_envelope(const Error& e, int retry_after_ms) {
   std::string out = "{\"ok\":false,";
   if (retry_after_ms > 0) out += strformat("\"retry_after_ms\":%d,", retry_after_ms);
@@ -46,8 +37,8 @@ using Clock = std::chrono::steady_clock;
 [[nodiscard]] Error to_error(const Status& s) { return Error{s.kind, s.site, s.detail}; }
 
 /// A structured failed Result for a request refused before execution
-/// (deadlined out in the admission queue, broken artifact): same shape a
-/// failed Session::run produces, so every client render path works on it.
+/// (deadlined out in the admission queue): same shape a failed Session::run
+/// produces, so every client render path works on it.
 [[nodiscard]] Result refusal_result(const ExperimentSpec& spec, const SessionOptions& base,
                                     Error e) {
   Result r;
@@ -483,58 +474,23 @@ Server::Response Server::execute_run(const ExperimentSpec& spec, const std::stri
   }
 
   const core::ProfileStore::Stats before = store().stats();
-  Response resp;
-  if (!spec.artifact.empty()) {
-    if (!opts_.artifact_runner) {
-      specs_failed_.fetch_add(1, std::memory_order_relaxed);
-      resp = {error_envelope(Error{StatusKind::kInvalidSpec, "serve.request",
-                                   "this daemon cannot serve artifact specs"},
-                             0),
-              "", false};
-    } else {
-      std::string out;
-      const int rc = opts_.artifact_runner(spec, deadline, out);
-      const std::string delta = core::ProfileStore::stats_line(
-          core::ProfileStore::Stats::delta(store().stats(), before));
-      if (rc < 0) {
-        specs_failed_.fetch_add(1, std::memory_order_relaxed);
-        resp = {error_envelope(Error{StatusKind::kInvalidSpec, "serve.request",
-                                     "unknown artifact \"" + spec.artifact + "\""},
-                               0),
-                "", false};
-      } else if (rc != 0) {
-        specs_failed_.fetch_add(1, std::memory_order_relaxed);
-        const Result r = refusal_result(
-            spec, opts_.session,
-            Error{StatusKind::kInternal, "serve.artifact",
-                  strformat("artifact \"%s\" exited with status %d", spec.artifact.c_str(), rc)});
-        resp = {strformat("{\"ok\":true,\"failed\":true,\"store\":%s}", json_quote(delta).c_str()),
-                render_result(r, format), false};
-      } else {
-        specs_ok_.fetch_add(1, std::memory_order_relaxed);
-        resp = {strformat("{\"ok\":true,\"failed\":false,\"store\":%s}", json_quote(delta).c_str()),
-                out, false};
-      }
-    }
+  SessionOptions req = opts_.session;
+  req.wall_deadline = deadline;
+  Session session(req, &store());
+  const Result r = session.run(spec);
+  const std::string delta = core::ProfileStore::stats_line(
+      core::ProfileStore::Stats::delta(store().stats(), before));
+  if (r.ok()) {
+    specs_ok_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    SessionOptions req = opts_.session;
-    req.wall_deadline = deadline;
-    Session session(req, &store());
-    const Result r = session.run(spec);
-    const std::string delta = core::ProfileStore::stats_line(
-        core::ProfileStore::Stats::delta(store().stats(), before));
-    if (r.ok()) {
-      specs_ok_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      specs_failed_.fetch_add(1, std::memory_order_relaxed);
-      if (r.error->site == "scenario.deadline") {
-        deadline_refused_.fetch_add(1, std::memory_order_relaxed);
-      }
+    specs_failed_.fetch_add(1, std::memory_order_relaxed);
+    if (r.error->site == "scenario.deadline") {
+      deadline_refused_.fetch_add(1, std::memory_order_relaxed);
     }
-    resp = {strformat("{\"ok\":true,\"failed\":%s,\"store\":%s}", r.ok() ? "false" : "true",
-                      json_quote(delta).c_str()),
-            render_result(r, format), false};
   }
+  Response resp{strformat("{\"ok\":true,\"failed\":%s,\"store\":%s}", r.ok() ? "false" : "true",
+                          json_quote(delta).c_str()),
+                render_result(r, format), false};
   release_slot();
   return resp;
 }
@@ -542,11 +498,48 @@ Server::Response Server::execute_run(const ExperimentSpec& spec, const std::stri
 void Server::record_latency(Clock::time_point start) {
   const auto us =
       std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() - start).count();
-  const std::uint32_t v =
-      us < 0 ? 0u
-             : (us > 0xffffffffLL ? 0xffffffffu : static_cast<std::uint32_t>(us));
-  std::lock_guard<std::mutex> lk(latency_mu_);
-  if (latency_us_.size() < 65536) latency_us_.push_back(v);
+  latency_us_.record(us < 0 ? 0U : static_cast<std::uint64_t>(us));
+}
+
+std::size_t LatencyHistogram::bucket(std::uint64_t us) {
+  if (us < (1U << kSubBits)) return static_cast<std::size_t>(us);
+  const int shift = std::bit_width(us) - 1 - kSubBits;
+  return (static_cast<std::size_t>(shift + 1) << kSubBits) +
+         static_cast<std::size_t>((us >> shift) & ((1U << kSubBits) - 1));
+}
+
+std::uint64_t LatencyHistogram::upper_bound(std::size_t bucket) {
+  if (bucket < (1U << kSubBits)) return bucket;
+  const auto shift = static_cast<int>(bucket >> kSubBits) - 1;
+  const std::uint64_t lower = static_cast<std::uint64_t>((1U << kSubBits) +
+                                                         (bucket & ((1U << kSubBits) - 1)))
+                              << shift;
+  return lower + ((std::uint64_t{1} << shift) - 1);
+}
+
+void LatencyHistogram::record(std::uint64_t us) {
+  std::lock_guard<std::mutex> lk(mu_);
+  ++counts_[bucket(us)];
+  ++count_;
+  max_ = std::max(max_, us);
+}
+
+std::string LatencyHistogram::summary() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  // Same rank rule as a sorted sample vector: index p * (n - 1), rounded.
+  const auto pct = [&](double p) -> unsigned long long {
+    if (count_ == 0) return 0;
+    const auto rank = static_cast<std::uint64_t>(p * static_cast<double>(count_ - 1) + 0.5);
+    std::uint64_t seen = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      seen += counts_[b];
+      if (seen > rank) return std::min(upper_bound(b), max_);
+    }
+    return max_;
+  };
+  return strformat("count=%llu p50=%llu p90=%llu p99=%llu max=%llu",
+                   static_cast<unsigned long long>(count_), pct(0.50), pct(0.90), pct(0.99),
+                   static_cast<unsigned long long>(max_));
 }
 
 Server::Stats Server::stats() const {
@@ -582,20 +575,7 @@ std::string Server::stats_text() const {
   if (FaultInjector::global().enabled()) {
     out += "[ppd] faults: " + FaultInjector::global().stats_line() + "\n";
   }
-  std::vector<std::uint32_t> lat;
-  {
-    std::lock_guard<std::mutex> lk(latency_mu_);
-    lat = latency_us_;
-  }
-  std::sort(lat.begin(), lat.end());
-  const auto pct = [&](double p) -> unsigned long long {
-    if (lat.empty()) return 0;
-    const auto i = static_cast<std::size_t>(p * static_cast<double>(lat.size() - 1) + 0.5);
-    return lat[i];
-  };
-  out += strformat("[ppd] latency_us: count=%zu p50=%llu p90=%llu p99=%llu max=%llu\n",
-                   lat.size(), pct(0.50), pct(0.90), pct(0.99),
-                   lat.empty() ? 0ULL : static_cast<unsigned long long>(lat.back()));
+  out += "[ppd] latency_us: " + latency_us_.summary() + "\n";
   return out;
 }
 

@@ -27,11 +27,11 @@
 // (tests/api/serve_test.cpp, tests/serve/ppd_lifecycle_test.sh).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -90,14 +90,31 @@ struct ServerOptions {
   /// chosen exactly like api::Session's (the process-global store when the
   /// cache directories match the environment).
   SessionOptions session = SessionOptions::from_env();
+};
 
-  /// Renders an artifact spec's canned stdout (the ppd binary wires this to
-  /// the bench artifact runners with stdout capture; unset = artifact specs
-  /// are answered with invalid_spec). Returns the artifact's exit code, or
-  /// < 0 for an unknown artifact name.
-  std::function<int(const ExperimentSpec&, std::chrono::steady_clock::time_point deadline,
-                    std::string& captured_stdout)>
-      artifact_runner;
+/// Service-time histogram behind `ppctl stat`: fixed log-linear buckets
+/// (16 per power of two, HdrHistogram style) plus an exact count and max,
+/// so memory stays constant and the percentiles keep moving however long
+/// the daemon runs. A reported percentile is its bucket's upper bound
+/// (within 1/16 of the true sample), capped at the max. Thread-safe.
+class LatencyHistogram {
+ public:
+  void record(std::uint64_t us);
+
+  /// "count=N p50=… p90=… p99=… max=…", in microseconds.
+  [[nodiscard]] std::string summary() const;
+
+ private:
+  static constexpr int kSubBits = 4;  // 16 sub-buckets per power of two
+  static constexpr std::size_t kBuckets = (64 - kSubBits + 1) << kSubBits;
+
+  [[nodiscard]] static std::size_t bucket(std::uint64_t us);
+  [[nodiscard]] static std::uint64_t upper_bound(std::size_t bucket);
+
+  mutable std::mutex mu_;
+  std::array<std::uint64_t, kBuckets> counts_{};
+  std::uint64_t count_ = 0;
+  std::uint64_t max_ = 0;
 };
 
 class Server {
@@ -210,8 +227,7 @@ class Server {
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> deadline_refused_{0};
 
-  mutable std::mutex latency_mu_;
-  std::vector<std::uint32_t> latency_us_;  // capped service-time samples
+  LatencyHistogram latency_us_;  // service time of every run request
 };
 
 }  // namespace pp::api

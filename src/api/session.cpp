@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "api/artifacts.hpp"
 #include "api/json.hpp"
 #include "base/check.hpp"
 #include "base/strings.hpp"
@@ -71,7 +72,10 @@ Result Session::run(const ExperimentSpec& spec) {
   specs_run_.fetch_add(1, std::memory_order_relaxed);
 
   const SessionOptions eff = apply_spec(spec, opts_);
-  const int seeds = spec.seeds > 0 ? spec.seeds : default_seeds(eff.scale);
+  const Artifact* artifact = spec.artifact.empty() ? nullptr : find_artifact(spec.artifact);
+  const int seeds = spec.seeds > 0 ? spec.seeds
+                    : artifact != nullptr ? artifact->default_seeds(eff.scale)
+                                          : default_seeds(eff.scale);
   const auto seed_count = static_cast<std::size_t>(seeds);
 
   Result res;
@@ -87,6 +91,7 @@ Result Session::run(const ExperimentSpec& spec) {
     res.flows.clear();
     res.sweeps.clear();
     res.study.reset();
+    res.artifact_text.clear();
     res.error = Error{kind, std::move(site), std::move(detail)};
     specs_failed_.fetch_add(1, std::memory_order_relaxed);
     return res;
@@ -94,17 +99,21 @@ Result Session::run(const ExperimentSpec& spec) {
 
   // Parse normally rejects these; guard against hand-built specs without
   // taking the process down (this used to be a PP_CHECK abort).
-  if (!spec.artifact.empty()) {
+  if (!spec.artifact.empty() && artifact == nullptr) {
     return fail(StatusKind::kInvalidSpec, "session.run",
-                "artifact specs render canned figure output; execute them with ppctl");
+                "unknown artifact \"" + spec.artifact + "\" (known: " + artifact_names() + ")");
   }
-  if (spec.flows.empty()) {
+  if (artifact == nullptr && spec.flows.empty()) {
     return fail(StatusKind::kInvalidSpec, "session.run", "spec has no flows");
   }
 
   try {
-    ViewStack v(eff, spec.seeds, *store_);
+    ViewStack v(eff, seeds, *store_);
 
+    if (artifact != nullptr) {
+      artifact->render(v, res.artifact_text);
+      return res;
+    }
     switch (spec.kind) {
       case ExperimentKind::kSolo: {
         const std::vector<core::Scenario> plan = lower_spec(spec, v.tb);
@@ -440,6 +449,13 @@ std::string Result::to_csv() const {
     return t.to_csv();
   }
   return result_table(*this).to_csv();
+}
+
+std::string render_result(const Result& r, const std::string& format) {
+  if (!r.artifact_text.empty()) return r.artifact_text;  // never set on failure
+  if (format == "json") return r.to_json();
+  if (format == "csv") return r.to_csv();
+  return r.to_text() + "\n";
 }
 
 }  // namespace pp::api

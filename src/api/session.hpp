@@ -53,9 +53,10 @@ struct Error {
 
 /// Structured answer to one spec. Which sections are filled depends on the
 /// kind: flows for solo/corun/predict, sweeps for sweep, study for
-/// placement_search. A failed spec carries `error` and empty sections — never
-/// a half-filled result, never an abort. Serializes to JSON/text/CSV
-/// (schema: docs/api.md; failure semantics: docs/robustness.md).
+/// placement_search, artifact_text for an artifact spec. A failed spec
+/// carries `error` and empty sections — never a half-filled result, never an
+/// abort. Serializes to JSON/text/CSV (schema: docs/api.md; failure
+/// semantics: docs/robustness.md); render_result picks the format.
 struct Result {
   ExperimentKind kind = ExperimentKind::kCorun;
   std::string name;
@@ -67,6 +68,9 @@ struct Result {
   std::vector<core::SweepResult> sweeps;
   std::optional<core::PlacementStudy> study;
 
+  /// An artifact spec's rendered text (api/artifacts.hpp); "" otherwise.
+  std::string artifact_text;
+
   std::optional<Error> error;
   [[nodiscard]] bool ok() const { return !error.has_value(); }
 
@@ -75,9 +79,14 @@ struct Result {
   [[nodiscard]] std::string to_csv() const;
 };
 
+/// The bytes `ppctl run` prints and ppd replies with for one Result, in
+/// `format` ("text", "csv" or "json"; text gets a trailing newline). A
+/// successful artifact's text is returned verbatim whatever the format.
+[[nodiscard]] std::string render_result(const Result& r, const std::string& format);
+
 /// The stateless view stack over one store, configured from explicit options
-/// (what the bench engine builds per binary and Session builds per spec —
-/// construction is cheap; all measurement state lives in the store).
+/// (Session builds one per spec — construction is cheap; all measurement
+/// state lives in the store).
 struct ViewStack {
   core::Testbed tb;
   core::SoloProfiler solo;
@@ -110,9 +119,8 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Execute one generic spec (artifact specs are a ppctl concern — they
-  /// render canned figure stdout rather than a structured Result). Safe to
-  /// call concurrently; every scenario is simulated at most once per store.
+  /// Execute one spec, generic or artifact. Safe to call concurrently;
+  /// every scenario is simulated at most once per store.
   /// Never throws and never aborts on a bad spec or a failed run: failures
   /// come back as Result::error with empty data sections.
   [[nodiscard]] Result run(const ExperimentSpec& spec);

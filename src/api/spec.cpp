@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "api/artifacts.hpp"
 #include "api/json.hpp"
 #include "base/check.hpp"
 #include "base/fault.hpp"
@@ -371,8 +372,8 @@ std::optional<ExperimentSpec> ExperimentSpec::parse(const std::string& json,
 
   // ------------------------------------------------- cross-field validation
   if (!spec.artifact.empty()) {
-    if (spec.artifact != "fig4" && spec.artifact != "table1") {
-      return fail("unknown artifact \"" + spec.artifact + "\" (known: fig4, table1)");
+    if (find_artifact(spec.artifact) == nullptr) {
+      return fail("unknown artifact \"" + spec.artifact + "\" (known: " + artifact_names() + ")");
     }
     if (!spec.flows.empty() || !spec.placement.empty() || has_mode || has_seed ||
         spec.warmup_ms.has_value() || spec.measure_ms.has_value() ||

@@ -6,9 +6,9 @@
 // (or remote service) can store and replay, and it lowers to the existing
 // core::Scenario value type, so the 128-bit content key — and with it every
 // PROFILE_CACHE behavior — is unchanged by construction. `ppctl run spec.json`
-// and `api::Session::run` both execute specs; the figure benches produce the
-// same scenarios through the same lowering. Schema and examples: docs/api.md
-// and examples/specs/.
+// and `api::Session::run` both execute specs; the paper artifacts
+// (api/artifacts.hpp) produce the same scenarios through the same views.
+// Schema and examples: docs/api.md and examples/specs/.
 #pragma once
 
 #include <optional>
@@ -50,8 +50,8 @@ struct ExperimentSpec {
   /// Optional label echoed into results ("" = unnamed).
   std::string name;
 
-  /// Canned multi-part artifact ("fig4", "table1"); executed by ppctl with
-  /// byte-identical stdout to the corresponding bench binary. "" = generic.
+  /// Paper artifact to render ("table1", "fig2", ... — the table in
+  /// api/artifacts.hpp); Session::run returns its text. "" = generic.
   std::string artifact;
 
   /// Unset fields inherit the session's configuration (ultimately the

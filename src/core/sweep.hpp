@@ -91,7 +91,8 @@ class SweepProfiler {
 
   /// Sweep several targets at once: all targets' (level, seed) runs — and
   /// their solo baselines — fan out over one host thread pool (this is how
-  /// bench_fig4/5 run the per-type sweeps of one figure concurrently).
+  /// the fig4/fig5 artifacts run the per-type sweeps of one figure
+  /// concurrently).
   /// Results are in target order, bit-identical to calling sweep() serially.
   [[nodiscard]] std::vector<SweepResult> sweep_many(
       const std::vector<FlowSpec>& targets, ContentionMode mode,

@@ -12,10 +12,12 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/client.hpp"
 #include "base/fault.hpp"
@@ -150,6 +152,73 @@ TEST_F(ServeTest, ServesByteIdenticalToDirectSessionAndReusesTheWarmStore) {
   Reply as_json;
   ASSERT_TRUE(c.run(spec_json, "json", 0, as_json).ok());
   EXPECT_EQ(as_json.body, session.run(*spec).to_json());
+}
+
+TEST_F(ServeTest, ArtifactsServeConcurrentlyAndMatchDirectSessionRuns) {
+  // Default ServerOptions apart from where to listen and what to run:
+  // artifact specs need no extra hook, run beside a generic spec, and reply
+  // with exactly the bytes a direct Session::run renders.
+  ServerOptions defaults;
+  defaults.socket_path = opts_.socket_path;
+  defaults.session = opts_.session;
+  opts_ = defaults;
+  start();
+
+  const std::vector<std::string> specs = {
+      R"({"version":1,"kind":"solo","artifact":"table1"})",
+      R"({"version":1,"kind":"solo","artifact":"fig6"})", corun_spec("beside-artifacts")};
+  std::vector<Reply> replies(specs.size());
+  std::vector<Status> sts(specs.size());
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    threads.emplace_back([&, i] { sts[i] = client().run(specs[i], "text", 0, replies[i]); });
+  }
+  for (std::thread& t : threads) t.join();
+
+  SessionOptions direct = opts_.session;
+  direct.cache_dir = dir_ + "/direct-cache";
+  Session session(direct);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(sts[i].ok()) << sts[i].detail;
+    EXPECT_FALSE(replies[i].error.has_value()) << specs[i];
+    EXPECT_FALSE(replies[i].failed) << specs[i];
+    const std::optional<ExperimentSpec> spec = ExperimentSpec::parse(specs[i]);
+    ASSERT_TRUE(spec.has_value());
+    EXPECT_EQ(replies[i].body, render_result(session.run(*spec), "text")) << specs[i];
+  }
+  EXPECT_EQ(server_->stats().specs_ok, 3U);
+}
+
+TEST(LatencyHistogram, KeepsCountingPastTheOldSampleCap) {
+  // `ppctl stat` used to freeze after 65,536 samples. The last 5,000 of
+  // 70,000 samples are large; they must move count, p99 and max.
+  LatencyHistogram h;
+  for (int i = 0; i < 65000; ++i) h.record(100);
+  for (int i = 0; i < 5000; ++i) h.record(500000);
+  const std::string line = h.summary();
+  EXPECT_NE(line.find("count=70000 "), std::string::npos) << line;
+  EXPECT_NE(line.find(" max=500000"), std::string::npos) << line;
+  unsigned long long p50 = 0;
+  unsigned long long p90 = 0;
+  unsigned long long p99 = 0;
+  ASSERT_EQ(std::sscanf(line.c_str(), "count=%*u p50=%llu p90=%llu p99=%llu", &p50, &p90, &p99),
+            3)
+      << line;
+  // A percentile is its bucket's upper bound: within 1/16 of the sample.
+  EXPECT_GE(p50, 100U);
+  EXPECT_LE(p50, 100U + 100U / 16);
+  EXPECT_LE(p90, 100U + 100U / 16);
+  EXPECT_GE(p99, 500000U - 500000U / 16) << line;
+  EXPECT_LE(p99, 500000U);
+}
+
+TEST(LatencyHistogram, EmptyAndExactSmallValues) {
+  LatencyHistogram h;
+  EXPECT_EQ(h.summary(), "count=0 p50=0 p90=0 p99=0 max=0");
+  for (std::uint64_t v = 0; v < 16; ++v) h.record(v);  // below 16 every value has a bucket
+  EXPECT_EQ(h.summary(), "count=16 p50=8 p90=14 p99=15 max=15");
+  h.record(~std::uint64_t{0});  // the top bucket holds the largest value
+  EXPECT_NE(h.summary().find("max=18446744073709551615"), std::string::npos) << h.summary();
 }
 
 TEST_F(ServeTest, PingAndStatAnswerWithoutTouchingAdmission) {

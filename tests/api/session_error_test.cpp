@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "base/fault.hpp"
 #include "core/profile_store.hpp"
 
@@ -51,14 +54,37 @@ TEST(SessionError, EmptyFlowsIsAStructuredErrorNotAnAbort) {
 }
 
 TEST(SessionError, ArtifactSpecIsAStructuredError) {
+  // Parse rejects unknown artifact names; a hand-built spec must still fail
+  // structurally, naming the bad artifact.
   core::ProfileStore store;
   Session session(test_options(), &store);
   ExperimentSpec spec;
-  spec.artifact = "fig4";
+  spec.artifact = "fig9000";
   const Result r = session.run(spec);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error->kind, StatusKind::kInvalidSpec);
-  EXPECT_NE(r.error->detail.find("ppctl"), std::string::npos);
+  EXPECT_NE(r.error->detail.find("fig9000"), std::string::npos) << r.error->detail;
+  EXPECT_TRUE(r.artifact_text.empty());
+}
+
+TEST(SessionError, Table1ArtifactMatchesTheGoldenBytes) {
+  // tests/golden/artifacts/ holds each artifact's text as the per-figure
+  // binaries printed it; Session::run must reproduce it byte for byte.
+  std::ifstream in(std::string(PP_SOURCE_DIR) + "/tests/golden/artifacts/table1.quick.txt",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::stringstream golden;
+  golden << in.rdbuf();
+
+  core::ProfileStore store;
+  Session session(test_options(2), &store);
+  ExperimentSpec spec;
+  spec.kind = ExperimentKind::kSolo;
+  spec.artifact = "table1";
+  const Result r = session.run(spec);
+  ASSERT_TRUE(r.ok()) << r.error->detail;
+  EXPECT_EQ(r.artifact_text, golden.str());
+  EXPECT_EQ(render_result(r, "json"), golden.str()) << "artifact bytes ignore the format";
 }
 
 TEST(SessionError, BudgetExceededIsNamedAndCarriesTheNumbers) {

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "api/artifacts.hpp"
 #include "api/session.hpp"
+#include "base/strings.hpp"
 #include "core/profiler.hpp"
 
 namespace pp::api {
@@ -159,6 +161,25 @@ TEST(ExperimentSpec, RejectsBadInput) {
     std::string err;
     EXPECT_FALSE(ExperimentSpec::parse(c.json, &err).has_value()) << c.why;
     EXPECT_FALSE(err.empty()) << c.why;
+  }
+}
+
+TEST(ExperimentSpec, UnknownArtifactErrorListsEveryArtifact) {
+  std::string err;
+  EXPECT_FALSE(
+      ExperimentSpec::parse(R"({"version": 1, "kind": "solo", "artifact": "fig9000"})", &err)
+          .has_value());
+  EXPECT_NE(err.find("(known: table1, fig2, fig4, fig5, fig6, fig7, fig8, fig9, fig10)"),
+            std::string::npos)
+      << err;
+  ASSERT_EQ(artifacts().size(), 9U);
+  for (const Artifact& a : artifacts()) {
+    EXPECT_NE(err.find(a.name), std::string::npos) << a.name;
+    std::string why;
+    EXPECT_TRUE(ExperimentSpec::parse(
+                    strformat(R"({"version": 1, "kind": "solo", "artifact": "%s"})", a.name), &why)
+                    .has_value())
+        << a.name << ": " << why;
   }
 }
 

@@ -3,8 +3,8 @@
 // Experiments are data: a JSON ExperimentSpec file fully describes machine
 // knobs, flows, placement, windows, seeds and what to compute, and ppctl
 // executes any such file (or builds one from flags) and prints text, CSV or
-// JSON. Specs with an "artifact" field reproduce the corresponding bench
-// binary's stdout byte-identically. See docs/api.md for the schema.
+// JSON. Specs with an "artifact" field print one of the paper's tables or
+// figures (Table 1, Figures 2 and 4-10). See docs/api.md for the schema.
 //
 //   ppctl run <spec.json>...      execute spec files (batched, deduped)
 //   ppctl sweep  --flows T,..     SYN-sweep each listed flow type
@@ -52,17 +52,14 @@
 #include "api/spec.hpp"
 #include "base/fault.hpp"
 #include "base/strings.hpp"
-#include "figures.hpp"
 
 namespace {
 
 using namespace pp;
 
-enum class Format { kText, kCsv, kJson };
-
 struct CliOptions {
   api::SessionOptions session = api::SessionOptions::from_env();
-  Format format = Format::kText;
+  std::string format = "text";  // text | csv | json
   // Spec-field overrides applied to every spec (file-loaded or flag-built).
   std::optional<Scale> scale;
   std::optional<sim::SimFidelity> fidelity;
@@ -167,10 +164,11 @@ int parse_flags(int argc, char** argv, int start, CliOptions& cli,
     if (a == "--format") {
       const char* v = value("--format");
       if (v == nullptr) return fail("--format needs a value");
-      if (std::strcmp(v, "text") == 0) cli.format = Format::kText;
-      else if (std::strcmp(v, "csv") == 0) cli.format = Format::kCsv;
-      else if (std::strcmp(v, "json") == 0) cli.format = Format::kJson;
-      else return fail("unknown --format (expected text|csv|json)");
+      if (std::strcmp(v, "text") != 0 && std::strcmp(v, "csv") != 0 &&
+          std::strcmp(v, "json") != 0) {
+        return fail("unknown --format (expected text|csv|json)");
+      }
+      cli.format = v;
     } else if (a == "--scale") {
       const char* v = value("--scale");
       if (v == nullptr) return fail("--scale needs a value");
@@ -279,18 +277,8 @@ int parse_flags(int argc, char** argv, int start, CliOptions& cli,
   return true;
 }
 
-void print_result(const api::Result& r, Format format) {
-  switch (format) {
-    case Format::kText:
-      std::printf("%s\n", r.to_text().c_str());
-      break;
-    case Format::kCsv:
-      std::printf("%s", r.to_csv().c_str());
-      break;
-    case Format::kJson:
-      std::printf("%s", r.to_json().c_str());
-      break;
-  }
+void print_bytes(const std::string& bytes) {
+  std::fwrite(bytes.data(), 1, bytes.size(), stdout);
   std::fflush(stdout);
 }
 
@@ -313,31 +301,12 @@ int transport_failure(const api::Client& client, const Status& st) {
 /// Daemon-mode run_specs: each spec becomes one framed request to the ppd
 /// at cli.connect; bodies print verbatim (byte-identical to a direct run)
 /// and each response's store delta prints in the familiar stderr format.
-/// Artifact specs go first, matching the direct path's ordering.
 int run_specs_connected(const CliOptions& cli, const std::vector<api::ExperimentSpec>& specs) {
   api::Client client(client_options(cli));
-  const char* fmt = cli.format == Format::kText ? "text"
-                    : cli.format == Format::kCsv ? "csv"
-                                                 : "json";
-  std::vector<const api::ExperimentSpec*> ordered;
-  for (const api::ExperimentSpec& s : specs) {
-    if (!s.artifact.empty()) ordered.push_back(&s);
-  }
-  for (const api::ExperimentSpec& s : specs) {
-    if (s.artifact.empty()) ordered.push_back(&s);
-  }
   std::size_t failed = 0;
-  for (const api::ExperimentSpec* spec : ordered) {
-    const bool artifact = !spec->artifact.empty();
-    if (artifact && cli.format != Format::kText) {
-      std::fprintf(stderr,
-                   "ppctl: note: artifact \"%s\" always prints the bench's text output; "
-                   "--format does not apply\n",
-                   spec->artifact.c_str());
-    }
+  for (const api::ExperimentSpec& spec : specs) {
     api::Reply reply;
-    const Status st =
-        client.run(spec->to_json(), artifact ? "text" : fmt, cli.deadline_ms, reply);
+    const Status st = client.run(spec.to_json(), cli.format, cli.deadline_ms, reply);
     if (!st.ok()) return transport_failure(client, st);
     if (reply.error.has_value()) {
       std::fprintf(stderr, "ppctl: daemon refused spec: %s at %s: %s\n",
@@ -346,8 +315,7 @@ int run_specs_connected(const CliOptions& cli, const std::vector<api::Experiment
       ++failed;
       continue;
     }
-    std::fwrite(reply.body.data(), 1, reply.body.size(), stdout);
-    std::fflush(stdout);
+    print_bytes(reply.body);
     if (reply.failed) ++failed;
     std::fprintf(stderr, "[ppctl] profile store: %s\n", reply.store_line.c_str());
   }
@@ -366,34 +334,25 @@ int cmd_stat(const CliOptions& cli) {
   return 0;
 }
 
-int run_specs(const CliOptions& cli, std::vector<api::ExperimentSpec> specs) {
-  if (cli.connected) return run_specs_connected(cli, specs);
-  // Artifact specs render canned bench stdout (byte-identical to the bench
-  // binary, always text — so they print first, whatever the argument
-  // order); generic specs execute through one Session as a deduped batch.
-  std::vector<api::ExperimentSpec> generic;
+/// Execute specs in argument order — in-process as one deduped Session
+/// batch, or on the ppd at cli.connect — and print each result's bytes.
+int run_specs(const CliOptions& cli, const std::vector<api::ExperimentSpec>& specs) {
   for (const api::ExperimentSpec& spec : specs) {
-    if (spec.artifact.empty()) {
-      generic.push_back(spec);
-      continue;
-    }
-    if (cli.format != Format::kText) {
+    if (!spec.artifact.empty() && cli.format != "text") {
       std::fprintf(stderr,
-                   "ppctl: note: artifact \"%s\" always prints the bench's text output; "
-                   "--format does not apply\n",
+                   "ppctl: note: artifact \"%s\" prints its own text; --format does not "
+                   "apply\n",
                    spec.artifact.c_str());
     }
-    const int rc = pp::bench::run_artifact(spec, cli.session);
-    if (rc != 0) return rc < 0 ? fail("unknown artifact \"" + spec.artifact + "\"") : rc;
   }
-  if (generic.empty()) return 0;
+  if (cli.connected) return run_specs_connected(cli, specs);
 
   api::Session session(cli.session);
-  const std::vector<api::Result> results = session.run_many(generic);
+  const std::vector<api::Result> results = session.run_many(specs);
   std::size_t failed = 0;
   for (const api::Result& r : results) {
     if (!r.ok()) ++failed;
-    print_result(r, cli.format);
+    print_bytes(api::render_result(r, cli.format));
   }
   std::fprintf(stderr, "[ppctl] profile store: %s\n", session.store().stats_line().c_str());
   if (FaultInjector::global().enabled()) {
@@ -416,7 +375,7 @@ int cmd_run(const CliOptions& cli, const std::vector<std::string>& files) {
     if (!override_spec(cli, *spec, err)) return fail(path + ": " + err);
     specs.push_back(std::move(*spec));
   }
-  return run_specs(cli, std::move(specs));
+  return run_specs(cli, specs);
 }
 
 int cmd_show(const CliOptions& cli, const std::vector<std::string>& files) {

@@ -3,10 +3,10 @@
 //
 // Holds one warm ProfileStore for its whole lifetime and serves
 // ExperimentSpec requests over a Unix-domain socket (framing and failure
-// semantics: docs/ppd.md). The process is deliberately thin: flag parsing,
-// signal wiring and artifact stdout capture live here; every serving
-// decision — deadlines, admission, shedding, single-flight, drain — lives
-// in api::Server so the in-process tests exercise the real code.
+// semantics: docs/ppd.md). The process is deliberately thin: flag parsing
+// and signal wiring live here; every serving decision — deadlines,
+// admission, shedding, single-flight, drain — lives in api::Server so the
+// in-process tests exercise the real code.
 //
 //   ppd --socket PATH [--listen HOST:PORT] [--workers N] [--max-queue N]
 //       [--retry-after-ms N] [--max-frame-bytes N] [--backlog N]
@@ -27,15 +27,11 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
-
-#include <unistd.h>
 
 #include "api/client.hpp"  // parse_endpoint for --listen
 #include "api/serve.hpp"
 #include "base/fault.hpp"
 #include "base/strings.hpp"
-#include "figures.hpp"
 
 namespace {
 
@@ -76,40 +72,6 @@ int usage(FILE* to) {
 int fail(const std::string& msg) {
   std::fprintf(stderr, "ppd: %s\n", msg.c_str());
   return 2;
-}
-
-/// Serve an artifact spec by running the bench artifact with stdout
-/// captured into a buffer (serialized — stdout redirection is per-process).
-/// The Engine inside run_artifact resolves to the same process-global store
-/// the server uses, so artifacts stay warm across requests too.
-int run_artifact_captured(const api::ExperimentSpec& spec,
-                          std::chrono::steady_clock::time_point deadline, std::string& out) {
-  static std::mutex mu;
-  std::lock_guard<std::mutex> lk(mu);
-  std::fflush(stdout);
-  FILE* tmp = std::tmpfile();
-  if (tmp == nullptr) return 1;
-  const int saved = ::dup(STDOUT_FILENO);
-  if (saved < 0 || ::dup2(fileno(tmp), STDOUT_FILENO) < 0) {
-    if (saved >= 0) ::close(saved);
-    std::fclose(tmp);
-    return 1;
-  }
-  api::SessionOptions base = api::SessionOptions::from_env();
-  base.wall_deadline = deadline;
-  const int rc = pp::bench::run_artifact(spec, base);
-  std::fflush(stdout);
-  ::dup2(saved, STDOUT_FILENO);
-  ::close(saved);
-  const long n = std::ftell(tmp);
-  std::rewind(tmp);
-  out.assign(n > 0 ? static_cast<std::size_t>(n) : 0, '\0');
-  if (n > 0 && std::fread(out.data(), 1, out.size(), tmp) != out.size()) {
-    std::fclose(tmp);
-    return 1;
-  }
-  std::fclose(tmp);
-  return rc;
 }
 
 }  // namespace
@@ -175,7 +137,6 @@ int main(int argc, char** argv) {
     usage(stderr);
     return fail("at least one of --socket / --listen is required");
   }
-  opts.artifact_runner = run_artifact_captured;
 
   api::Server server(opts);
   std::string err;

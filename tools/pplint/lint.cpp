@@ -370,11 +370,8 @@ std::vector<Diagnostic> lint_tree(const Options& opt) {
   std::sort(files.begin(), files.end());
 
   // src/ headers include each other as "dir/name.hpp" relative to src/;
-  // bench/tools headers resolve against the repo root, src/, and bench/
-  // (ppctl/ppd are built with the bench include dir for the artifact
-  // runners).
-  const std::vector<std::string> include_dirs = {
-      (root / "src").string(), root.string(), (root / "bench").string()};
+  // bench/tools headers resolve against the repo root and src/.
+  const std::vector<std::string> include_dirs = {(root / "src").string(), root.string()};
 
   std::vector<Diagnostic> out;
   for (const std::string& file : files) {
