@@ -86,6 +86,10 @@ struct Reply {
   int retry_after_ms = 0;      // hint accompanying an `overloaded` error
 };
 
+/// Ceiling of a request's envelope `deadline_ms` (one day): `ppctl
+/// --deadline-ms` enforces it and ppd refuses anything above it.
+inline constexpr int kMaxDeadlineMs = 86'400'000;
+
 class Client {
  public:
   explicit Client(ClientOptions opts);

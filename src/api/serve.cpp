@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -342,30 +343,35 @@ Server::Response Server::dispatch(const std::string& payload) {
 
 Server::Response Server::handle_run(const Json& envelope, const std::string& body) {
   const Clock::time_point start = Clock::now();
+  // A well-framed request that fails validation fails structurally and
+  // keeps the connection: error isolation is per request, not per connection.
+  const auto invalid = [&](std::string detail) -> Response {
+    specs_failed_.fetch_add(1, std::memory_order_relaxed);
+    return {error_envelope(Error{StatusKind::kInvalidSpec, "serve.request", std::move(detail)}, 0),
+            "", false};
+  };
   std::string format = "text";
   if (const Json* f = envelope.find("format"); f != nullptr) {
     if (!f->is_string() || (f->as_string() != "text" && f->as_string() != "csv" &&
                             f->as_string() != "json")) {
-      specs_failed_.fetch_add(1, std::memory_order_relaxed);
-      return {error_envelope(Error{StatusKind::kInvalidSpec, "serve.request",
-                                   "unknown format (expected text|csv|json)"},
-                             0),
-              "", false};
+      return invalid("unknown format (expected text|csv|json)");
     }
     format = f->as_string();
   }
-  std::string err;
-  const std::optional<ExperimentSpec> spec = ExperimentSpec::parse(body, &err);
-  if (!spec.has_value()) {
-    // A well-framed request with a bad spec fails structurally and keeps
-    // the connection: error isolation is per request, not per connection.
-    specs_failed_.fetch_add(1, std::memory_order_relaxed);
-    return {error_envelope(Error{StatusKind::kInvalidSpec, "serve.request", err}, 0), "", false};
-  }
+  // Absent or 0 = the spec's budget_ms. Anything else is bounded like
+  // `ppctl --deadline-ms`: a larger value would overflow the clock cast.
   double deadline_ms = 0;
-  if (const Json* d = envelope.find("deadline_ms"); d != nullptr && d->is_number()) {
+  if (const Json* d = envelope.find("deadline_ms"); d != nullptr) {
+    if (!d->is_number() || !std::isfinite(d->as_double()) || d->as_double() < 0 ||
+        d->as_double() > kMaxDeadlineMs) {
+      return invalid(strformat("deadline_ms must be a number in (0, %d] (0 = the spec's budget_ms)",
+                               kMaxDeadlineMs));
+    }
     deadline_ms = d->as_double();
   }
+  std::string err;
+  const std::optional<ExperimentSpec> spec = ExperimentSpec::parse(body, &err);
+  if (!spec.has_value()) return invalid(err);
   if (deadline_ms <= 0 && spec->budget_ms.has_value()) deadline_ms = *spec->budget_ms;
   Clock::time_point deadline{};
   if (deadline_ms > 0) {
@@ -373,12 +379,12 @@ Server::Response Server::handle_run(const Json& envelope, const std::string& bod
                            std::chrono::duration<double, std::milli>(deadline_ms));
   }
 
-  // Single-flight across connections: identical (spec, format, deadline
-  // budget) requests share one execution. The first arrival leads; the rest
-  // wait for its response. Distinct deadlines never share — a tight-deadline
-  // request must not inherit a refusal earned by someone else's budget.
-  const std::string key =
-      strformat("%s\037%s\037%.3f", spec->to_json().c_str(), format.c_str(), deadline_ms);
+  // Single-flight across connections: requests for the same canonical spec
+  // and deadline budget share one execution, whatever format each wants.
+  // The first arrival leads; the rest wait for its Outcome without holding
+  // a worker slot. Distinct deadlines never share — a tight-deadline request
+  // must not inherit a refusal earned by someone else's budget.
+  const std::string key = spec->to_json() + "\037" + json_double(deadline_ms);
   std::shared_ptr<Flight> flight;
   bool leader = false;
   {
@@ -388,26 +394,27 @@ Server::Response Server::handle_run(const Json& envelope, const std::string& bod
     flight = it->second;
     leader = inserted;
   }
-  if (!leader) {
+  Outcome out;
+  if (leader) {
+    out = execute_run(*spec, deadline);
+    {
+      std::lock_guard<std::mutex> lk(flights_mu_);
+      flights_.erase(key);
+    }
+    {
+      std::lock_guard<std::mutex> lk(flight->m);
+      flight->outcome = out;
+      flight->done = true;
+    }
+    flight->cv.notify_all();
+  } else {
     deduped_inflight_.fetch_add(1, std::memory_order_relaxed);
     std::unique_lock<std::mutex> lk(flight->m);
     flight->cv.wait(lk, [&] { return flight->done; });
-    Response resp = flight->response;
-    lk.unlock();
-    record_latency(start);
-    return resp;
+    out = flight->outcome;
   }
-  Response resp = execute_run(*spec, format, deadline);
-  {
-    std::lock_guard<std::mutex> lk(flights_mu_);
-    flights_.erase(key);
-  }
-  {
-    std::lock_guard<std::mutex> lk(flight->m);
-    flight->response = resp;
-    flight->done = true;
-  }
-  flight->cv.notify_all();
+  Response resp{std::move(out.envelope),
+                out.result != nullptr ? render_result(*out.result, format) : "", false};
   record_latency(start);
   return resp;
 }
@@ -446,8 +453,7 @@ void Server::release_slot() {
   admit_cv_.notify_one();
 }
 
-Server::Response Server::execute_run(const ExperimentSpec& spec, const std::string& format,
-                                     Clock::time_point deadline) {
+Server::Outcome Server::execute_run(const ExperimentSpec& spec, Clock::time_point deadline) {
   switch (admit(deadline)) {
     case Admit::kShed: {
       shed_.fetch_add(1, std::memory_order_relaxed);
@@ -456,18 +462,17 @@ Server::Response Server::execute_run(const ExperimentSpec& spec, const std::stri
       if (opts_.retry_after_ms > 0) detail += strformat("; retry in %d ms", opts_.retry_after_ms);
       return {error_envelope(Error{StatusKind::kOverloaded, "serve.admit", std::move(detail)},
                              opts_.retry_after_ms),
-              "", false};
+              nullptr};
     }
     case Admit::kDeadline: {
       deadline_refused_.fetch_add(1, std::memory_order_relaxed);
       specs_failed_.fetch_add(1, std::memory_order_relaxed);
-      const Result r = refusal_result(
-          spec, opts_.session,
-          Error{StatusKind::kBudgetExceeded, "serve.admit",
-                "wall-clock deadline expired while queued for admission"});
       const std::string none = core::ProfileStore::stats_line(core::ProfileStore::Stats{});
       return {strformat("{\"ok\":true,\"failed\":true,\"store\":%s}", json_quote(none).c_str()),
-              render_result(r, format), false};
+              std::make_shared<const Result>(refusal_result(
+                  spec, opts_.session,
+                  Error{StatusKind::kBudgetExceeded, "serve.admit",
+                        "wall-clock deadline expired while queued for admission"}))};
     }
     case Admit::kAdmitted:
       break;
@@ -477,22 +482,21 @@ Server::Response Server::execute_run(const ExperimentSpec& spec, const std::stri
   SessionOptions req = opts_.session;
   req.wall_deadline = deadline;
   Session session(req, &store());
-  const Result r = session.run(spec);
+  auto r = std::make_shared<const Result>(session.run(spec));
   const std::string delta = core::ProfileStore::stats_line(
       core::ProfileStore::Stats::delta(store().stats(), before));
-  if (r.ok()) {
+  if (r->ok()) {
     specs_ok_.fetch_add(1, std::memory_order_relaxed);
   } else {
     specs_failed_.fetch_add(1, std::memory_order_relaxed);
-    if (r.error->site == "scenario.deadline") {
+    if (r->error->site == "scenario.deadline") {
       deadline_refused_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  Response resp{strformat("{\"ok\":true,\"failed\":%s,\"store\":%s}", r.ok() ? "false" : "true",
-                          json_quote(delta).c_str()),
-                render_result(r, format), false};
   release_slot();
-  return resp;
+  return {strformat("{\"ok\":true,\"failed\":%s,\"store\":%s}", r->ok() ? "false" : "true",
+                    json_quote(delta).c_str()),
+          std::move(r)};
 }
 
 void Server::record_latency(Clock::time_point start) {

@@ -15,7 +15,9 @@
 //   * malformed or oversized frames poison only the connection that sent
 //     them (best-effort protocol_error response, then close);
 //   * single-flight dedup of identical in-flight requests across
-//     connections (on top of the store's scenario-level single-flight);
+//     connections, keyed on canonical spec + deadline: a follower holds no
+//     worker slot and renders its own format from the leader's Result (the
+//     store dedups scenarios; this layer dedups requests);
 //   * graceful drain (begin_drain, wired to SIGTERM by the ppd binary):
 //     stop accepting, finish or deadline-out in-flight work, flush store
 //     stats to stderr, return 0 — and clean recovery on restart: a stale
@@ -175,11 +177,18 @@ class Server {
     bool poison = false;   // close the connection after responding
   };
 
+  /// What one execution hands every request that shared it; each request
+  /// renders its own format from `result`.
+  struct Outcome {
+    std::string envelope;                  // single-line JSON
+    std::shared_ptr<const Result> result;  // null when shed (no body)
+  };
+
   struct Flight {
     std::mutex m;
     std::condition_variable cv;
     bool done = false;
-    Response response;
+    Outcome outcome;
   };
 
   [[nodiscard]] bool listen_uds(std::string* error);
@@ -187,8 +196,8 @@ class Server {
   void handle_connection(int fd);
   [[nodiscard]] Response dispatch(const std::string& payload);
   [[nodiscard]] Response handle_run(const Json& envelope, const std::string& body);
-  [[nodiscard]] Response execute_run(const ExperimentSpec& spec, const std::string& format,
-                                     std::chrono::steady_clock::time_point deadline);
+  [[nodiscard]] Outcome execute_run(const ExperimentSpec& spec,
+                                    std::chrono::steady_clock::time_point deadline);
   [[nodiscard]] Admit admit(std::chrono::steady_clock::time_point deadline);
   void release_slot();
   void record_latency(std::chrono::steady_clock::time_point start);

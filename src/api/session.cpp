@@ -1,8 +1,5 @@
 #include "api/session.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-
 #include "api/artifacts.hpp"
 #include "api/json.hpp"
 #include "base/check.hpp"
@@ -60,17 +57,7 @@ Session::Session(SessionOptions opts, core::ProfileStore* store) : opts_(std::mo
   }
 }
 
-Session::Stats Session::stats() const {
-  Stats s;
-  s.specs_run = specs_run_.load();
-  s.specs_deduped = specs_deduped_.load();
-  s.specs_failed = specs_failed_.load();
-  return s;
-}
-
 Result Session::run(const ExperimentSpec& spec) {
-  specs_run_.fetch_add(1, std::memory_order_relaxed);
-
   const SessionOptions eff = apply_spec(spec, opts_);
   const Artifact* artifact = spec.artifact.empty() ? nullptr : find_artifact(spec.artifact);
   const int seeds = spec.seeds > 0 ? spec.seeds
@@ -93,7 +80,6 @@ Result Session::run(const ExperimentSpec& spec) {
     res.study.reset();
     res.artifact_text.clear();
     res.error = Error{kind, std::move(site), std::move(detail)};
-    specs_failed_.fetch_add(1, std::memory_order_relaxed);
     return res;
   };
 
@@ -128,20 +114,13 @@ Result Session::run(const ExperimentSpec& spec) {
         break;
       }
       case ExperimentKind::kCorun: {
-        // One store fan-out: the corun seeds first, then the solo plan of
-        // each distinct flow spec (a repeated spec reuses its first
-        // occurrence's slots). Aggregation reads fixed slots in flow order.
+        // One store fan-out: the corun seeds first, then each flow's solo
+        // plan (a repeated flow's keys collapse in the store). Aggregation
+        // reads fixed slots in flow order.
         std::vector<core::Scenario> plan = lower_spec(spec, v.tb);
-        std::vector<std::size_t> solo_at(spec.flows.size());
-        for (std::size_t i = 0; i < spec.flows.size(); ++i) {
-          const auto first = std::find(spec.flows.begin(), spec.flows.end(), spec.flows[i]);
-          const auto j = static_cast<std::size_t>(first - spec.flows.begin());
-          if (j < i) {
-            solo_at[i] = solo_at[j];
-            continue;
-          }
-          solo_at[i] = plan.size();
-          for (core::Scenario& s : v.solo.plan(spec.flows[i])) plan.push_back(std::move(s));
+        const std::size_t solo_base = plan.size();
+        for (const core::FlowSpec& f : spec.flows) {
+          for (core::Scenario& s : v.solo.plan(f)) plan.push_back(std::move(s));
         }
         const auto runs = store_->get_or_run_many(plan, eff.threads);
         for (std::size_t i = 0; i < spec.flows.size(); ++i) {
@@ -152,7 +131,7 @@ Result Session::run(const ExperimentSpec& spec) {
           fr.spec = spec.flows[i];
           fr.metrics = core::merge_metrics(per_seed);
           const core::FlowMetrics solo =
-              core::SoloProfiler::merge_plan(slots(runs, solo_at[i], seed_count));
+              core::SoloProfiler::merge_plan(slots(runs, solo_base + i * seed_count, seed_count));
           fr.solo_pps = solo.pps();
           fr.drop_pct = core::drop_pct(solo, fr.metrics);
           res.flows.push_back(std::move(fr));
@@ -199,32 +178,8 @@ Result Session::run(const ExperimentSpec& spec) {
 }
 
 std::vector<Result> Session::run_many(const std::vector<ExperimentSpec>& specs) {
-  // Dedup on the canonical serialized form (equal specs <=> equal text):
-  // each distinct spec executes once; duplicates share its Result. The
-  // store's scenario-level single-flight already prevents duplicated
-  // simulation across *overlapping* specs — this also skips their
-  // re-aggregation.
-  std::unordered_map<std::string, std::size_t> first;
-  std::vector<std::size_t> unique_indices;
-  std::vector<std::size_t> owner(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const std::string key = specs[i].to_json();
-    const auto [it, inserted] = first.try_emplace(key, unique_indices.size());
-    if (inserted) {
-      unique_indices.push_back(i);
-    } else {
-      specs_deduped_.fetch_add(1, std::memory_order_relaxed);
-    }
-    owner[i] = it->second;
-  }
-
-  std::vector<Result> unique(unique_indices.size());
-  core::parallel_for(unique_indices.size(), opts_.threads,
-                     [&](std::size_t u) { unique[u] = run(specs[unique_indices[u]]); });
-
-  std::vector<Result> out;
-  out.reserve(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) out.push_back(unique[owner[i]]);
+  std::vector<Result> out(specs.size());
+  core::parallel_for(specs.size(), opts_.threads, [&](std::size_t i) { out[i] = run(specs[i]); });
   return out;
 }
 

@@ -10,14 +10,13 @@
 //   api::Result r = session.run(*spec);
 //   std::puts(r.to_json().c_str());
 //
-// run_many() fans independent specs over the host thread pool with
-// canonical-form dedup on top of the store's scenario-level single-flight,
-// so a batch of overlapping requests simulates each distinct machine state
-// exactly once. Results are bit-identical at any thread count (every
-// scenario run is a pure function; aggregation is in plan order).
+// run_many() fans specs over the host thread pool. It does no dedup of its
+// own: the store simulates each distinct machine state exactly once, so a
+// batch of overlapping or identical specs costs one simulation per key.
+// Results are bit-identical at any thread count (every scenario run is a
+// pure function; aggregation is in plan order).
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -103,12 +102,6 @@ struct ViewStack {
 
 class Session {
  public:
-  struct Stats {
-    std::uint64_t specs_run = 0;     // specs actually executed
-    std::uint64_t specs_deduped = 0; // batch entries served by an identical spec
-    std::uint64_t specs_failed = 0;  // executed specs that returned an Error
-  };
-
   /// `store` (tests mostly) overrides the store choice; otherwise the
   /// session uses the process-global store when `opts` names the same cache
   /// directories as the environment (so benches/examples keep sharing one
@@ -125,25 +118,21 @@ class Session {
   /// come back as Result::error with empty data sections.
   [[nodiscard]] Result run(const ExperimentSpec& spec);
 
-  /// Execute a batch: identical specs (by canonical JSON) run once, distinct
-  /// specs fan out over options().threads host threads. Results are in input
-  /// order and bit-identical to running the batch serially. Failures are
-  /// isolated per spec: one poisoned spec yields one Result::error while
-  /// every other spec's result is unaffected (bit-identical to running the
-  /// good specs alone).
+  /// Execute a batch: each spec runs once over options().threads host
+  /// threads (identical specs re-aggregate the store's shared results).
+  /// Results are in input order and bit-identical to running the batch
+  /// serially. Failures are isolated per spec: one poisoned spec yields one
+  /// Result::error while every other spec's result is unaffected
+  /// (bit-identical to running the good specs alone).
   [[nodiscard]] std::vector<Result> run_many(const std::vector<ExperimentSpec>& specs);
 
   [[nodiscard]] core::ProfileStore& store() const { return *store_; }
   [[nodiscard]] const SessionOptions& options() const { return opts_; }
-  [[nodiscard]] Stats stats() const;
 
  private:
   SessionOptions opts_;
   std::unique_ptr<core::ProfileStore> owned_store_;
   core::ProfileStore* store_;
-  std::atomic<std::uint64_t> specs_run_{0};
-  std::atomic<std::uint64_t> specs_deduped_{0};
-  std::atomic<std::uint64_t> specs_failed_{0};
 };
 
 }  // namespace pp::api

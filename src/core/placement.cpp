@@ -60,20 +60,14 @@ PlacementStudy PlacementEvaluator::evaluate(const std::vector<FlowSpec>& flows) 
     placements.push_back(std::move(socket_of_flow));
   } while (std::next_permutation(pick.begin(), pick.end()));
 
-  // One flat job list: per-type solo baselines first, then every
-  // (placement, seed) run. The store fans it out and single-flights any
-  // duplicates; aggregation below is strictly in enumeration order.
-  std::vector<FlowType> solo_types;
-  for (const FlowSpec& f : flows) {
-    if (std::find(solo_types.begin(), solo_types.end(), f.type) == solo_types.end()) {
-      solo_types.push_back(f.type);
-    }
-  }
+  // One flat job list: each flow's solo plan first (a repeated flow type's
+  // keys collapse in the store fan-out), then every (placement, seed) run.
+  // Aggregation below reads fixed slots in enumeration order.
+  const auto n = static_cast<std::size_t>(seeds);
   std::vector<Scenario> jobs;
-  jobs.reserve(solo_types.size() * static_cast<std::size_t>(seeds) +
-               placements.size() * static_cast<std::size_t>(seeds));
-  for (const FlowType t : solo_types) {
-    for (const Scenario& s : solo_.plan(FlowSpec::of(t))) jobs.push_back(s);
+  jobs.reserve((flows.size() + placements.size()) * n);
+  for (const FlowSpec& f : flows) {
+    for (Scenario& s : solo_.plan(FlowSpec::of(f.type))) jobs.push_back(std::move(s));
   }
   const std::size_t grid_base = jobs.size();
   for (const std::vector<int>& p : placements) {
@@ -82,24 +76,18 @@ PlacementStudy PlacementEvaluator::evaluate(const std::vector<FlowSpec>& flows) 
 
   const auto runs = solo_.store().get_or_run_many(jobs, threads_);
 
-  std::vector<FlowMetrics> solo_of_type;
-  for (std::size_t t = 0; t < solo_types.size(); ++t) {
-    const std::vector<std::shared_ptr<const ScenarioResult>> slots(
-        runs.begin() + static_cast<std::ptrdiff_t>(t * static_cast<std::size_t>(seeds)),
-        runs.begin() + static_cast<std::ptrdiff_t>((t + 1) * static_cast<std::size_t>(seeds)));
-    solo_of_type.push_back(SoloProfiler::merge_plan(slots));
+  std::vector<FlowMetrics> solo;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    solo.push_back(SoloProfiler::merge_plan(
+        {runs.begin() + static_cast<std::ptrdiff_t>(i * n),
+         runs.begin() + static_cast<std::ptrdiff_t>((i + 1) * n)}));
   }
-  const auto solo_of = [&](FlowType t) -> const FlowMetrics& {
-    const auto it = std::find(solo_types.begin(), solo_types.end(), t);
-    return solo_of_type[static_cast<std::size_t>(it - solo_types.begin())];
-  };
 
   PlacementStudy study;
   for (std::size_t p = 0; p < placements.size(); ++p) {
     std::vector<FlowMetrics> pooled;
     for (int s = 0; s < seeds; ++s) {
-      const ScenarioResult& run =
-          *runs[grid_base + p * static_cast<std::size_t>(seeds) + static_cast<std::size_t>(s)];
+      const ScenarioResult& run = *runs[grid_base + p * n + static_cast<std::size_t>(s)];
       if (pooled.empty()) {
         pooled = run;
       } else {
@@ -114,7 +102,7 @@ PlacementStudy PlacementEvaluator::evaluate(const std::vector<FlowSpec>& flows) 
     outcome.socket_of_flow = placements[p];
     double sum = 0;
     for (std::size_t i = 0; i < flows.size(); ++i) {
-      const double d = drop_pct(solo_of(flows[i].type), pooled[i]);
+      const double d = drop_pct(solo[i], pooled[i]);
       outcome.per_flow_drop.push_back(d);
       sum += d;
     }

@@ -5,10 +5,10 @@
 // the maximum benefit contention-aware scheduling could deliver.
 //
 // Stateless view over the ProfileStore: the whole placement enumeration —
-// every (placement, seed) run plus the per-type solo baselines — fans out
-// over the host thread pool in one store request; aggregation walks the
-// slots in enumeration order, so the study is bit-identical at any
-// SWEEP_THREADS.
+// every (placement, seed) run plus one solo plan per flow, whose repeated
+// keys the store collapses — fans out over the host thread pool in one
+// store request; aggregation walks fixed slots in enumeration order, so the
+// study is bit-identical at any SWEEP_THREADS.
 #pragma once
 
 #include <vector>

@@ -196,11 +196,18 @@ std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::get_or_run_many
       errors[i] = std::current_exception();
     }
   };
+  // A repeated key is collapsed onto its first slot: it shares that slot's
+  // pointer, bumps no counter and never parks a pool thread on a sibling.
   // Memory hits are collected inline: re-aggregations of already-profiled
   // plans (warm requests, a corun whose solos are stored) should not spin
   // up the thread pool just for them.
+  std::unordered_map<std::string, std::size_t> first_slot;
+  std::vector<std::size_t> same(scenarios.size());
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const auto [it, inserted] = first_slot.try_emplace(keys[i].hex(), i);
+    same[i] = it->second;
+    if (!inserted) continue;
     if (is_ready(keys[i])) {
       run_slot(i);
     } else {
@@ -215,9 +222,12 @@ std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::get_or_run_many
     return scenarios[a].flows.size() > scenarios[b].flows.size();
   });
   parallel_for(pending.size(), threads, [&](std::size_t k) { run_slot(pending[k]); });
+  // A repeat's first slot has a lower index, so the lowest-index error is
+  // always a first slot's.
   for (const std::exception_ptr& err : errors) {
     if (err) std::rethrow_exception(err);
   }
+  for (std::size_t i = 0; i < scenarios.size(); ++i) out[i] = out[same[i]];
   return out;
 }
 

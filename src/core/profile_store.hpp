@@ -90,9 +90,10 @@ class ProfileStore {
   /// Fan a scenario list out over up to `threads` host threads (results in
   /// input order). Memory hits are collected inline; the remaining
   /// scenarios are dispatched heaviest first (stable, descending flow
-  /// count). Duplicate keys in the list coalesce via
-  /// single-flight. If any scenario fails, every job still completes, then
-  /// the lowest-index error is rethrown (thread-count invariant).
+  /// count). A key repeated in the list runs once: later slots share the
+  /// first slot's pointer and bump no counter. If any scenario fails, every
+  /// job still completes, then the lowest-index error is rethrown
+  /// (thread-count invariant).
   [[nodiscard]] std::vector<std::shared_ptr<const ScenarioResult>> get_or_run_many(
       const std::vector<Scenario>& scenarios, int threads);
 

@@ -1,9 +1,10 @@
 // The ppd Server's robustness envelope, exercised in-process over a real
 // Unix-domain socket: byte-identical serving, warm-store reuse, in-flight
-// dedup, bounded-queue shedding, wall-clock deadlines, per-connection
-// poisoning of malformed frames, the serve.* fault sites, and graceful
-// drain with an in-flight request. (Real-process lifecycle — SIGTERM,
-// kill -9 + restart — lives in tests/serve/ppd_lifecycle_test.sh.)
+// dedup (across formats too), envelope deadline validation, bounded-queue
+// shedding, wall-clock deadlines, per-connection poisoning of malformed
+// frames, the serve.* fault sites, and graceful drain with an in-flight
+// request. (Real-process lifecycle — SIGTERM, kill -9 + restart — lives in
+// tests/serve/ppd_lifecycle_test.sh.)
 #include "api/serve.hpp"
 
 #include <gtest/gtest.h>
@@ -317,6 +318,67 @@ TEST_F(ServeTest, IdenticalInFlightRequestsAreSingleFlighted) {
   const Server::Stats st = server_->stats();
   EXPECT_EQ(st.deduped_inflight, 1U);
   EXPECT_EQ(st.specs_ok, 1U) << "one execution served both requests";
+}
+
+TEST_F(ServeTest, CrossFormatFollowerRendersItsOwnFormatFromOneExecution) {
+  // The flight key is the canonical spec plus the deadline, not the format:
+  // a json request for a spec already executing as text waits for that
+  // execution and renders its own bytes from the shared Result.
+  start();
+  const std::string spec_json = slow_spec("cross-format");
+  Reply lead;
+  Status lead_st;
+  std::thread leader([&] {
+    Client c = client();
+    lead_st = c.run(spec_json, "text", 0, lead);
+  });
+  ASSERT_TRUE(wait_for_active(1)) << "leader never started executing";
+  Reply follow;
+  Client c = client();
+  const Status follow_st = c.run(spec_json, "json", 0, follow);
+  leader.join();
+  ASSERT_TRUE(lead_st.ok());
+  ASSERT_TRUE(follow_st.ok());
+
+  SessionOptions direct = opts_.session;
+  direct.cache_dir = dir_ + "/direct-cache";
+  Session session(direct);
+  const std::optional<ExperimentSpec> spec = ExperimentSpec::parse(spec_json);
+  ASSERT_TRUE(spec.has_value());
+  const Result want = session.run(*spec);
+  EXPECT_EQ(lead.body, render_result(want, "text"));
+  EXPECT_EQ(follow.body, render_result(want, "json"));
+  const Server::Stats st = server_->stats();
+  EXPECT_EQ(st.deduped_inflight, 1U);
+  EXPECT_EQ(st.specs_ok, 1U) << "one execution served both formats";
+}
+
+TEST_F(ServeTest, OutOfRangeDeadlineIsAnInvalidRequestAndKeepsTheConnection) {
+  // A deadline beyond int64 nanoseconds (1e300), a negative one and a
+  // non-number each get a structured invalid_spec answer, and the same
+  // connection keeps serving.
+  start();
+  const int fd = raw_connect();
+  ASSERT_GE(fd, 0);
+  for (const char* deadline : {"1e300", "-5", "\"soon\""}) {
+    const std::string envelope =
+        strformat(R"({"op":"run","format":"text","deadline_ms":%s})", deadline);
+    ASSERT_TRUE(write_frame(fd, join_payload(envelope, corun_spec("bad-deadline"))).ok());
+    std::string payload;
+    Status st;
+    ASSERT_EQ(read_frame(fd, payload, opts_.max_frame_bytes, st), FrameRead::kOk) << deadline;
+    EXPECT_NE(payload.find("\"ok\":false"), std::string::npos) << deadline << ": " << payload;
+    EXPECT_NE(payload.find("invalid_spec"), std::string::npos) << deadline << ": " << payload;
+    EXPECT_NE(payload.find("serve.request"), std::string::npos) << deadline << ": " << payload;
+  }
+  ASSERT_TRUE(write_frame(fd, join_payload(R"({"op":"ping"})", "")).ok());
+  std::string payload;
+  Status st;
+  ASSERT_EQ(read_frame(fd, payload, opts_.max_frame_bytes, st), FrameRead::kOk);
+  EXPECT_EQ(payload.rfind(R"({"ok":true})", 0), 0U) << payload;
+  ::close(fd);
+  EXPECT_EQ(server_->stats().specs_failed, 3U);
+  EXPECT_EQ(server_->stats().specs_ok, 0U);
 }
 
 TEST_F(ServeTest, FullQueueShedsWithRetryAfterHint) {

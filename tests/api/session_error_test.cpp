@@ -1,6 +1,6 @@
 // api::Session error isolation: failed specs come back as structured
 // Result::error values — never an abort, never a poisoned batch. Covers the
-// run-budget guard, injected scenario faults, invalid specs, dedup of
+// run-budget guard, injected scenario faults, invalid specs, repeated
 // failing specs, serialization of errors, and thread-count invariance.
 #include "api/session.hpp"
 
@@ -50,7 +50,7 @@ TEST(SessionError, EmptyFlowsIsAStructuredErrorNotAnAbort) {
   EXPECT_EQ(r.error->kind, StatusKind::kInvalidSpec);
   EXPECT_EQ(r.error->site, "session.run");
   EXPECT_TRUE(r.flows.empty());
-  EXPECT_EQ(session.stats().specs_failed, 1U);
+  EXPECT_EQ(store.stats().simulated, 0U);
 }
 
 TEST(SessionError, ArtifactSpecIsAStructuredError) {
@@ -141,20 +141,22 @@ TEST(SessionError, OnePoisonedSpecLeavesTheRestBitIdentical) {
   EXPECT_EQ(results[0].to_json(), ref_results[0].to_json());
   EXPECT_EQ(results[2].to_json(), ref_results[1].to_json());
   EXPECT_EQ(results[3].to_json(), ref_results[2].to_json());
-  EXPECT_EQ(session.stats().specs_failed, 1U);
 }
 
-TEST(SessionError, FailingDuplicatesDedupToOneExecution) {
+TEST(SessionError, FailingDuplicatesFailIdenticallyAndSimulateNothing) {
   core::ProfileStore store;
   Session session(test_options(2), &store);
   const std::vector<ExperimentSpec> batch = {over_budget_spec(), over_budget_spec()};
   const std::vector<Result> results = session.run_many(batch);
   ASSERT_EQ(results.size(), 2U);
-  EXPECT_FALSE(results[0].ok());
-  EXPECT_EQ(results[0].to_json(), results[1].to_json());
-  EXPECT_EQ(session.stats().specs_run, 1U);
-  EXPECT_EQ(session.stats().specs_deduped, 1U);
-  EXPECT_EQ(session.stats().specs_failed, 1U) << "a deduped failure counts once";
+  for (const Result& r : results) {
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error->kind, StatusKind::kBudgetExceeded);
+  }
+  for (const char* format : {"text", "csv", "json"}) {
+    EXPECT_EQ(render_result(results[0], format), render_result(results[1], format)) << format;
+  }
+  EXPECT_EQ(store.stats().simulated, 0U) << "a failed run stores nothing";
 }
 
 TEST(SessionError, ErrorAttributionIsThreadCountInvariant) {

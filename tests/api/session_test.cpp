@@ -1,4 +1,4 @@
-// api::Session batch execution: canonical-form dedup in run_many, bitwise
+// api::Session batch execution: repeated specs cost no simulation, bitwise
 // serial-vs-parallel identity over a 12-spec batch, NaN-free structured
 // results for degenerate specs, and the corun's single store fan-out locked
 // byte-for-byte to the serial solo-after-corun composition.
@@ -74,29 +74,33 @@ void expect_same_bytes(const Result& want, const Result& got, const std::string&
   EXPECT_EQ(want.to_json(), got.to_json()) << what;
 }
 
-TEST(Session, RunManyDedupsIdenticalSpecs) {
-  core::ProfileStore store;
-  Session session(test_options(2), &store);
+TEST(Session, RunManyDuplicatesCostNoSimulation) {
+  // run_many has no dedup of its own: every entry runs, and the store makes
+  // a repeated spec cost no simulation.
+  const std::vector<ExperimentSpec> distinct = {tiny_corun(FlowType::kIp, FlowType::kMon, 1),
+                                                tiny_corun(FlowType::kIp, FlowType::kMon, 2),
+                                                tiny_corun(FlowType::kMon, FlowType::kVpn, 1),
+                                                tiny_corun(FlowType::kVpn, FlowType::kIp, 1)};
+  core::ProfileStore ref_store;
+  Session ref(test_options(1), &ref_store);
+  const std::vector<Result> want = ref.run_many(distinct);
 
   // 12 specs, 4 distinct (each repeated 3x).
   std::vector<ExperimentSpec> batch;
-  for (int rep = 0; rep < 3; ++rep) {
-    batch.push_back(tiny_corun(FlowType::kIp, FlowType::kMon, 1));
-    batch.push_back(tiny_corun(FlowType::kIp, FlowType::kMon, 2));
-    batch.push_back(tiny_corun(FlowType::kMon, FlowType::kVpn, 1));
-    batch.push_back(tiny_corun(FlowType::kVpn, FlowType::kIp, 1));
-  }
+  for (int rep = 0; rep < 3; ++rep) batch.insert(batch.end(), distinct.begin(), distinct.end());
+  core::ProfileStore store;
+  Session session(test_options(2), &store);
   const std::vector<Result> results = session.run_many(batch);
   ASSERT_EQ(results.size(), 12U);
+  EXPECT_EQ(store.stats().simulated, ref_store.stats().simulated)
+      << "a repeated spec must not re-simulate";
 
-  const Session::Stats st = session.stats();
-  EXPECT_EQ(st.specs_run, 4U) << "identical specs must execute once";
-  EXPECT_EQ(st.specs_deduped, 8U);
-
-  // Duplicates share their original's result verbatim.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(results[i].to_json(), results[i + 4].to_json());
-    EXPECT_EQ(results[i].to_json(), results[i + 8].to_json());
+  // Every repeat renders its original's bytes in every format.
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    for (const char* format : {"text", "csv", "json"}) {
+      EXPECT_EQ(render_result(results[i], format), render_result(want[i % 4], format))
+          << i << " " << format;
+    }
   }
   // Distinct specs differ (different seeds change the traffic).
   EXPECT_NE(results[0].to_json(), results[1].to_json());
@@ -195,8 +199,9 @@ TEST(Session, CorunFanOutMatchesSerialComposition) {
 }
 
 TEST(Session, CorunRepeatedFlowSpecSharesOneSoloPlan) {
-  // A mix that repeats a flow spec plans that spec's solo runs once: no
-  // duplicate slot in the fan-out, so nothing coalesces that did not before.
+  // A mix that repeats a flow spec lays out its solo plan twice; the store
+  // collapses the repeated keys inside the fan-out, so nothing re-simulates
+  // and nothing coalesces that did not before.
   const FlowSpec ip = FlowSpec::of(FlowType::kIp);
   const ExperimentSpec spec =
       corun_of({ip, FlowSpec::of(FlowType::kMon), ip}, sim::SimFidelity::kStreamed);

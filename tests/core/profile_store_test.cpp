@@ -1,6 +1,7 @@
 // The content-addressed ProfileStore: single-flight dedup under
-// parallel_for, disk-cache round-trips that are bit-identical (exact and
-// sampled fidelity), and invalidation when the schema version bumps.
+// parallel_for, repeated keys collapsing inside one fan-out, disk-cache
+// round-trips that are bit-identical (exact and sampled fidelity), and
+// invalidation when the schema version bumps.
 #include "core/profile_store.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "base/status.hpp"
 #include "base/strings.hpp"
 #include "core/parallel.hpp"
 
@@ -73,17 +75,56 @@ TEST(ProfileStore, SingleFlightDedupUnderParallelFor) {
 }
 
 TEST(ProfileStore, GetOrRunManyDedupesDuplicates) {
-  ProfileStore store;
+  // A key repeated inside one cold fan-out runs once; its later slots share
+  // the first slot's pointer without counting as memory hits or coalesced
+  // waits (no pool thread parks on a sibling slot).
   const std::vector<Scenario> jobs = {tiny_scenario(sim::SimFidelity::kExact, 1),
                                       tiny_scenario(sim::SimFidelity::kExact, 2),
                                       tiny_scenario(sim::SimFidelity::kExact, 1),
-                                      tiny_scenario(sim::SimFidelity::kExact, 2)};
-  const auto results = store.get_or_run_many(jobs, 4);
-  EXPECT_EQ(store.stats().simulated, 2U);
-  ASSERT_EQ(results.size(), 4U);
-  EXPECT_EQ(results[0].get(), results[2].get());
-  EXPECT_EQ(results[1].get(), results[3].get());
-  EXPECT_NE(results[0].get(), results[1].get());
+                                      tiny_scenario(sim::SimFidelity::kExact, 2),
+                                      tiny_scenario(sim::SimFidelity::kExact, 1)};
+  for (const int threads : {1, 4}) {
+    ProfileStore store;
+    const auto results = store.get_or_run_many(jobs, threads);
+    const ProfileStore::Stats st = store.stats();
+    EXPECT_EQ(st.simulated, 2U) << "threads=" << threads;
+    EXPECT_EQ(st.memory_hits + st.coalesced, 0U) << "threads=" << threads;
+    ASSERT_EQ(results.size(), jobs.size());
+    EXPECT_EQ(results[0].get(), results[2].get());
+    EXPECT_EQ(results[0].get(), results[4].get());
+    EXPECT_EQ(results[1].get(), results[3].get());
+    EXPECT_NE(results[0].get(), results[1].get());
+  }
+
+  // A failing key repeated in the list: the lowest-index error surfaces
+  // (the heavier, later failure is dispatched first), and the repeat never
+  // runs again.
+  const auto over_budget = [](std::vector<FlowSpec> flows, std::uint64_t seed, double budget) {
+    Testbed tb(Scale::kQuick, 1);
+    RunConfig cfg = tb.configure(std::move(flows), seed);
+    cfg.warmup_ms = 0.2;
+    cfg.measure_ms = 0.4;
+    cfg.budget_ms = budget;
+    return Scenario::of(tb, cfg);
+  };
+  const FlowSpec mon = FlowSpec::of(FlowType::kMon);
+  const std::vector<Scenario> failing = {jobs[0], over_budget({mon}, 2, 0.5),
+                                         over_budget({mon, mon}, 4, 0.25),
+                                         over_budget({mon}, 2, 0.5)};
+  for (const int threads : {1, 4}) {
+    ProfileStore store;
+    try {
+      (void)store.get_or_run_many(failing, threads);
+      ADD_FAILURE() << "a list with failing slots must throw (threads=" << threads << ")";
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().kind, StatusKind::kBudgetExceeded);
+      EXPECT_NE(e.status().detail.find("run budget 0.500 ms"), std::string::npos)
+          << "threads=" << threads << ": " << e.status().detail;
+    }
+    const ProfileStore::Stats st = store.stats();
+    EXPECT_EQ(st.simulated, 1U) << "threads=" << threads;
+    EXPECT_EQ(st.memory_hits + st.coalesced, 0U) << "threads=" << threads;
+  }
 }
 
 TEST(ProfileStore, DiskRoundTripBitEqualityExact) {

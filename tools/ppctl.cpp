@@ -6,7 +6,7 @@
 // JSON. Specs with an "artifact" field print one of the paper's tables or
 // figures (Table 1, Figures 2 and 4-10). See docs/api.md for the schema.
 //
-//   ppctl run <spec.json>...      execute spec files (batched, deduped)
+//   ppctl run <spec.json>...      execute spec files (batched)
 //   ppctl sweep  --flows T,..     SYN-sweep each listed flow type
 //   ppctl predict --flows T,..    predict per-flow drop in the listed mix
 //   ppctl solo   --flows T,..     solo-profile each listed flow type
@@ -235,7 +235,7 @@ int parse_flags(int argc, char** argv, int start, CliOptions& cli,
       if (!int_flag("--retry-seed", 0, std::numeric_limits<std::int64_t>::max(), n)) return 2;
       cli.retry_seed = static_cast<std::uint64_t>(n);
     } else if (a == "--deadline-ms") {
-      if (!int_flag("--deadline-ms", 1, 86400000, n)) return 2;
+      if (!int_flag("--deadline-ms", 1, api::kMaxDeadlineMs, n)) return 2;
       cli.deadline_ms = static_cast<double>(n);
     } else if (!a.empty() && a[0] == '-') {
       return fail("unknown flag \"" + a + "\" (see ppctl --help)");
@@ -334,8 +334,8 @@ int cmd_stat(const CliOptions& cli) {
   return 0;
 }
 
-/// Execute specs in argument order — in-process as one deduped Session
-/// batch, or on the ppd at cli.connect — and print each result's bytes.
+/// Execute specs in argument order — in-process as one Session batch, or
+/// on the ppd at cli.connect — and print each result's bytes.
 int run_specs(const CliOptions& cli, const std::vector<api::ExperimentSpec>& specs) {
   for (const api::ExperimentSpec& spec : specs) {
     if (!spec.artifact.empty() && cli.format != "text") {
