@@ -21,8 +21,11 @@ namespace pp::core {
 
 /// Run fn(0..n-1), distributing indices over up to `threads` host threads
 /// (serial when threads <= 1 or n <= 1). Blocks until every index has run.
-/// `fn` must not throw; jobs must be independent (no shared mutable state
-/// beyond their own output slots).
+/// `fn` must not throw; jobs must be independent: no shared mutable state
+/// beyond their own output slots, except a fan-out's SetupShare
+/// (core/scenario.hpp), through which jobs of one setup group hand over a
+/// warm machine state. Every slot's result stays the same whichever job
+/// warmed the machine, in whatever order and on however many threads.
 void parallel_for(std::size_t n, int threads, const std::function<void(std::size_t)>& fn);
 
 }  // namespace pp::core

@@ -10,10 +10,27 @@
 #include "api/options.hpp"
 #include "base/check.hpp"
 #include "base/fault.hpp"
+#include "base/status.hpp"
 #include "base/strings.hpp"
 #include "core/parallel.hpp"
 
 namespace pp::core {
+
+namespace {
+
+/// True for run_scenario's pre-run guards (budget_ms, deadline): refusals
+/// that depend on the caller, not on the scenario's content.
+bool is_guard_refusal(const std::exception_ptr& err) {
+  try {
+    std::rethrow_exception(err);
+  } catch (const StatusError& e) {
+    return e.status().kind == StatusKind::kBudgetExceeded;
+  } catch (...) {
+    return false;
+  }
+}
+
+}  // namespace
 
 ProfileStore::ProfileStore(std::string cache_dir, std::string ro_dir)
     : dir_(std::move(cache_dir)), ro_dir_(std::move(ro_dir)) {}
@@ -38,6 +55,7 @@ ProfileStore::Stats ProfileStore::stats() const {
   s.quarantined = quarantined_.load();
   s.persist_errors = persist_errors_.load();
   s.ro_quarantine_warnings = ro_quarantine_warnings_.load();
+  s.prewarm_shared = prewarm_shared_.load();
   s.memory_only = memory_only_.load();
   return s;
 }
@@ -52,6 +70,7 @@ ProfileStore::Stats ProfileStore::Stats::delta(const Stats& now, const Stats& ba
   d.quarantined = now.quarantined - base.quarantined;
   d.persist_errors = now.persist_errors - base.persist_errors;
   d.ro_quarantine_warnings = now.ro_quarantine_warnings - base.ro_quarantine_warnings;
+  d.prewarm_shared = now.prewarm_shared - base.prewarm_shared;
   d.memory_only = now.memory_only;
   return d;
 }
@@ -61,7 +80,7 @@ std::string ProfileStore::stats_line(const Stats& s) {
   // grep included) anchors on the "simulated=N " prefix.
   return strformat("simulated=%llu memory_hits=%llu disk_hits=%llu ro_hits=%llu "
                    "coalesced=%llu quarantined=%llu persist_errors=%llu memory_only=%d "
-                   "ro_quarantine_warnings=%llu",
+                   "ro_quarantine_warnings=%llu prewarm_shared=%llu",
                    static_cast<unsigned long long>(s.simulated),
                    static_cast<unsigned long long>(s.memory_hits),
                    static_cast<unsigned long long>(s.disk_hits),
@@ -70,7 +89,8 @@ std::string ProfileStore::stats_line(const Stats& s) {
                    static_cast<unsigned long long>(s.quarantined),
                    static_cast<unsigned long long>(s.persist_errors),
                    s.memory_only ? 1 : 0,
-                   static_cast<unsigned long long>(s.ro_quarantine_warnings));
+                   static_cast<unsigned long long>(s.ro_quarantine_warnings),
+                   static_cast<unsigned long long>(s.prewarm_shared));
 }
 
 std::string ProfileStore::stats_line() const { return stats_line(stats()); }
@@ -80,7 +100,9 @@ std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run(const Scenario& s
 }
 
 std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run_keyed(const Scenario& s,
-                                                                     const ScenarioKey& k) {
+                                                                     const ScenarioKey& k,
+                                                                     SetupShare* share,
+                                                                     std::size_t member) {
   std::shared_ptr<Entry> e;
   bool runner = false;
   {
@@ -101,7 +123,15 @@ std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run_keyed(const Scena
     } else {
       memory_hits_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (e->error) std::rethrow_exception(e->error);
+    if (e->error) {
+      const std::exception_ptr err = e->error;
+      lk.unlock();
+      // A budget or deadline refusal is the runner's own guard, not a
+      // property of the key (neither field is content): run again under
+      // this caller's guard instead of inheriting another caller's.
+      if (is_guard_refusal(err)) return get_or_run_keyed(s, k, share, member);
+      std::rethrow_exception(err);
+    }
     return e->result;
   }
 
@@ -137,7 +167,7 @@ std::shared_ptr<const ScenarioResult> ProfileStore::get_or_run_keyed(const Scena
   }
   if (!have) {
     try {
-      r = run_scenario(s);
+      r = share != nullptr ? run_scenario(s, *share, member) : run_scenario(s);
     } catch (...) {
       // Release the key first so a later call may retry, then wake waiters
       // with the error (they hold their own shared_ptr to this entry).
@@ -189,12 +219,13 @@ std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::get_or_run_many
   // every job finish, then rethrow the lowest-index error — which scenario
   // fails is thread-count and dispatch-order invariant.
   std::vector<std::exception_ptr> errors(scenarios.size());
-  const auto run_slot = [&](std::size_t i) {
+  const auto run_slot = [&](std::size_t i, SetupShare* share) {
     try {
-      out[i] = get_or_run_keyed(scenarios[i], keys[i]);
+      out[i] = get_or_run_keyed(scenarios[i], keys[i], share, i);
     } catch (...) {
       errors[i] = std::current_exception();
     }
+    if (share != nullptr) share->leave(i);
   };
   // A repeated key is collapsed onto its first slot: it shares that slot's
   // pointer, bumps no counter and never parks a pool thread on a sibling.
@@ -204,24 +235,32 @@ std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::get_or_run_many
   std::unordered_map<std::string, std::size_t> first_slot;
   std::vector<std::size_t> same(scenarios.size());
   std::vector<std::size_t> pending;
+  std::vector<const Scenario*> members(scenarios.size(), nullptr);
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const auto [it, inserted] = first_slot.try_emplace(keys[i].hex(), i);
     same[i] = it->second;
     if (!inserted) continue;
     if (is_ready(keys[i])) {
-      run_slot(i);
+      run_slot(i, nullptr);
     } else {
       pending.push_back(i);
+      members[i] = &scenarios[i];
     }
   }
-  // Heaviest first: a run's host cost grows with its flow count, so a
-  // 6-flow corun or sweep level must not start last behind 1-flow solos.
-  // The order is a stable function of the scenarios themselves (never of
-  // host time); results still land in their input slots.
+  // Setup groups first: each group's first member produces the warm state
+  // its siblings restore, so starting every producer before any follower
+  // keeps followers from waiting. Then heaviest first: a run's host cost
+  // grows with its flow count, so a 6-flow corun or sweep level must not
+  // start last behind 1-flow solos. The order is a stable function of the
+  // scenarios themselves (never of host time); results still land in their
+  // input slots.
+  SetupShare share(members);
   std::stable_sort(pending.begin(), pending.end(), [&](std::size_t a, std::size_t b) {
+    if (share.leads(a) != share.leads(b)) return share.leads(a);
     return scenarios[a].flows.size() > scenarios[b].flows.size();
   });
-  parallel_for(pending.size(), threads, [&](std::size_t k) { run_slot(pending[k]); });
+  parallel_for(pending.size(), threads, [&](std::size_t k) { run_slot(pending[k], &share); });
+  prewarm_shared_.fetch_add(share.restores(), std::memory_order_relaxed);
   // A repeat's first slot has a lower index, so the lowest-index error is
   // always a first slot's.
   for (const std::exception_ptr& err : errors) {

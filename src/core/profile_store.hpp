@@ -50,6 +50,7 @@ class ProfileStore {
     std::uint64_t quarantined = 0;  // corrupt cache files detected (primary: renamed .bad)
     std::uint64_t persist_errors = 0;  // failed writes/renames (degraded to re-simulation)
     std::uint64_t ro_quarantine_warnings = 0;  // corrupt RO-tier entries (warned, never mutated)
+    std::uint64_t prewarm_shared = 0;  // runs that restored a setup sibling's warm state
     bool memory_only = false;       // write-side backoff engaged (stopped persisting)
 
     /// Counter-wise `now - base`: the per-request store activity the ppd
@@ -84,16 +85,19 @@ class ProfileStore {
   /// Throws pp::StatusError when execution itself fails (run budget,
   /// injected scenario fault); persistence failures never throw — they
   /// degrade to re-simulation. Concurrent waiters on a failed run rethrow
-  /// the runner's error; the key is released so a later call may retry.
+  /// the runner's error, except a budget/deadline refusal, which is the
+  /// runner's own guard: such a waiter runs again under its own. The key is
+  /// released so a later call may retry.
   [[nodiscard]] std::shared_ptr<const ScenarioResult> get_or_run(const Scenario& s);
 
   /// Fan a scenario list out over up to `threads` host threads (results in
-  /// input order). Memory hits are collected inline; the remaining
-  /// scenarios are dispatched heaviest first (stable, descending flow
-  /// count). A key repeated in the list runs once: later slots share the
-  /// first slot's pointer and bump no counter. If any scenario fails, every
-  /// job still completes, then the lowest-index error is rethrown
-  /// (thread-count invariant).
+  /// input order). Memory hits are collected inline. The remaining
+  /// scenarios share one SetupShare: the first member of each setup group
+  /// is dispatched before every other job, and otherwise the order is
+  /// heaviest first (stable, descending flow count). A key repeated in the
+  /// list runs once: later slots share the first slot's pointer and bump no
+  /// counter. If any scenario fails, every job still completes, then the
+  /// lowest-index error is rethrown (thread-count invariant).
   [[nodiscard]] std::vector<std::shared_ptr<const ScenarioResult>> get_or_run_many(
       const std::vector<Scenario>& scenarios, int threads);
 
@@ -101,7 +105,7 @@ class ProfileStore {
   [[nodiscard]] const std::string& cache_dir() const { return dir_; }
   [[nodiscard]] const std::string& ro_cache_dir() const { return ro_dir_; }
 
-  /// One-line "simulated=N memory_hits=N disk_hits=N coalesced=N" summary
+  /// One-line "simulated=N memory_hits=N disk_hits=N ..." summary
   /// (bench binaries print it to stderr so stdout stays byte-comparable).
   /// The static overload formats an arbitrary snapshot identically — the ppd
   /// daemon renders per-request Stats::delta lines with it, so CI greps work
@@ -120,8 +124,11 @@ class ProfileStore {
 
   enum class Load : std::uint8_t { kMiss, kHit, kCorrupt };
 
-  [[nodiscard]] std::shared_ptr<const ScenarioResult> get_or_run_keyed(const Scenario& s,
-                                                                       const ScenarioKey& k);
+  /// `share` (optional) is the caller's fan-out: a run happens as its slot
+  /// `member`.
+  [[nodiscard]] std::shared_ptr<const ScenarioResult> get_or_run_keyed(
+      const Scenario& s, const ScenarioKey& k, SetupShare* share = nullptr,
+      std::size_t member = 0);
   [[nodiscard]] bool is_ready(const ScenarioKey& k) const;
   [[nodiscard]] static std::string path_in(const std::string& dir, const ScenarioKey& k);
   [[nodiscard]] Load load_from_dir(const std::string& dir, const ScenarioKey& k,
@@ -139,6 +146,7 @@ class ProfileStore {
   std::atomic<std::uint64_t> disk_hits_{0};
   std::atomic<std::uint64_t> ro_hits_{0};
   std::atomic<std::uint64_t> coalesced_{0};
+  std::atomic<std::uint64_t> prewarm_shared_{0};
   // Robustness counters are mutable: loads/saves run on const paths.
   mutable std::atomic<std::uint64_t> quarantined_{0};
   mutable std::atomic<std::uint64_t> persist_errors_{0};

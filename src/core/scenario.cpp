@@ -1,8 +1,10 @@
 #include "core/scenario.hpp"
 
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <memory>
+#include <unordered_map>
 
 #include "base/check.hpp"
 #include "base/fault.hpp"
@@ -108,18 +110,19 @@ void hash_sizes(KeyHasher& h, const WorkloadSizes& z) {
   h.u32(z.vpn_packet);
 }
 
-}  // namespace
-
-ScenarioKey scenario_key(const Scenario& s) {
-  KeyHasher h;
+/// The canonical stream of scenario_key; `run_fields` false skips the
+/// run-only fields (setup_key).
+void hash_scenario(KeyHasher& h, const Scenario& s, bool run_fields) {
   h.i32(kScenarioSchemaVersion);
   hash_machine(h, s.machine);
   hash_sizes(h, s.sizes);
   h.u64(s.flows.size());
   for (const FlowSpec& f : s.flows) {
     h.u64(static_cast<std::uint64_t>(f.type));
-    h.u64(f.syn.reads);
-    h.u64(f.syn.instr);
+    if (run_fields) {
+      h.u64(f.syn.reads);
+      h.u64(f.syn.instr);
+    }
     h.u64(f.syn.table_mb);
     h.u64(f.seed);
     h.i32(f.batch);
@@ -129,9 +132,24 @@ ScenarioKey scenario_key(const Scenario& s) {
     h.i32(p.core);
     h.i32(p.data_domain);
   }
-  h.f64(s.warmup_ms);
-  h.f64(s.measure_ms);
+  if (run_fields) {
+    h.f64(s.warmup_ms);
+    h.f64(s.measure_ms);
+  }
   h.u64(s.seed);
+}
+
+}  // namespace
+
+ScenarioKey scenario_key(const Scenario& s) {
+  KeyHasher h;
+  hash_scenario(h, s, /*run_fields=*/true);
+  return h.key();
+}
+
+ScenarioKey setup_key(const Scenario& s) {
+  KeyHasher h;
+  hash_scenario(h, s, /*run_fields=*/false);
   return h.key();
 }
 
@@ -163,6 +181,115 @@ std::string describe(const Scenario& s) {
   return out;
 }
 
+// ------------------------------------------------------------ setup sharing
+
+namespace {
+
+std::atomic<int> g_live_snapshots{0};
+
+std::shared_ptr<const sim::MachineState> snapshot_of(const sim::Machine& machine) {
+  const auto* state = new sim::MachineState(machine.save_state());
+  g_live_snapshots.fetch_add(1, std::memory_order_relaxed);
+  return std::shared_ptr<const sim::MachineState>(state, [](const sim::MachineState* p) {
+    delete p;
+    g_live_snapshots.fetch_sub(1, std::memory_order_relaxed);
+  });
+}
+
+}  // namespace
+
+SetupShare::SetupShare(const std::vector<const Scenario*>& members)
+    : group_of_(members.size(), kNone), leads_(members.size()), settled_(members.size()) {
+  std::unordered_map<std::string, std::size_t> first;  // setup key hex -> first member
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (members[i] == nullptr) continue;
+    const auto [it, inserted] = first.try_emplace(setup_key(*members[i]).hex(), i);
+    if (inserted) continue;
+    const std::size_t lead = it->second;
+    if (group_of_[lead] == kNone) {
+      group_of_[lead] = groups_.size();
+      leads_[lead] = true;
+      groups_.push_back(Group{1, Phase::kOpen, nullptr});
+    }
+    group_of_[i] = group_of_[lead];
+    ++groups_[group_of_[i]].remaining;
+  }
+}
+
+bool SetupShare::leads(std::size_t i) const { return leads_[i]; }
+
+std::size_t SetupShare::settle(std::size_t i) {
+  const std::size_t g = group_of_[i];
+  if (g == kNone || settled_[i]) return kNone;
+  settled_[i] = true;
+  return g;
+}
+
+void SetupShare::publish(std::size_t g, std::shared_ptr<const sim::MachineState> state) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    Group& grp = groups_[g];
+    grp.phase = Phase::kDone;
+    if (grp.remaining > 0) grp.state = std::move(state);
+  }
+  cv_.notify_all();
+}
+
+void SetupShare::warm(std::size_t member, sim::Machine& machine,
+                      const std::function<void()>& prewarm) {
+  std::unique_lock<std::mutex> lk(mu_);
+  const std::size_t g = settle(member);
+  if (g == kNone) {
+    lk.unlock();
+    prewarm();
+    return;
+  }
+  Group& grp = groups_[g];
+  if (grp.phase == Phase::kOpen) {
+    // Producer: waits on nothing, and publishes on every path.
+    grp.phase = Phase::kProducing;
+    --grp.remaining;
+    lk.unlock();
+    std::shared_ptr<const sim::MachineState> state;
+    try {
+      prewarm();
+      lk.lock();
+      const bool wanted = grp.remaining > 0;  // a sibling may still restore
+      lk.unlock();
+      if (wanted) state = snapshot_of(machine);
+    } catch (...) {
+      publish(g, nullptr);
+      throw;
+    }
+    publish(g, std::move(state));
+    return;
+  }
+  cv_.wait(lk, [&] { return grp.phase == Phase::kDone; });
+  std::shared_ptr<const sim::MachineState> state = grp.state;
+  if (--grp.remaining == 0) grp.state.reset();  // the last member frees it
+  if (state != nullptr) ++restores_;
+  lk.unlock();
+  if (state == nullptr) {
+    prewarm();  // the producer failed: warm standalone
+    return;
+  }
+  machine.restore_state(*state);
+}
+
+void SetupShare::leave(std::size_t i) {
+  std::lock_guard<std::mutex> lk(mu_);
+  const std::size_t g = settle(i);
+  if (g == kNone) return;
+  if (--groups_[g].remaining == 0) groups_[g].state.reset();
+}
+
+std::uint64_t SetupShare::restores() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return restores_;
+}
+
+int SetupShare::live_snapshots() { return g_live_snapshots.load(std::memory_order_relaxed); }
+
 // ------------------------------------------------------------------- running
 
 namespace {
@@ -187,12 +314,8 @@ Snapshot snap(sim::Machine& m, int core, const click::Router& router) {
   return s;
 }
 
-}  // namespace
-
-ScenarioResult run_scenario(const Scenario& s) { return run_scenario_with_windows(s, 0.0, {}); }
-
-ScenarioResult run_scenario_with_windows(const Scenario& cfg, double window_ms,
-                                         const WindowHook& hook) {
+ScenarioResult run_impl(const Scenario& cfg, double window_ms, const WindowHook& hook,
+                        SetupShare* share, std::size_t member) {
   PP_CHECK(!cfg.flows.empty());
   PP_CHECK(cfg.flows.size() == cfg.placement.size());
 
@@ -261,17 +384,24 @@ ScenarioResult run_scenario_with_windows(const Scenario& cfg, double window_ms,
   // which is fast, whereas recovering from below happens at the target's
   // own miss rate, which for cache-friendly flows takes far longer than a
   // simulable warmup window.
-  for (std::size_t i = routers.size(); i-- > 0;) {
-    click::Context cx{machine.core(cfg.placement[i].core)};
-    for (const auto& e : routers[i]->elements()) e->prewarm(cx);
+  const auto prewarm = [&] {
+    for (std::size_t i = routers.size(); i-- > 0;) {
+      click::Context cx{machine.core(cfg.placement[i].core)};
+      for (const auto& e : routers[i]->elements()) e->prewarm(cx);
+    }
+    machine.align_clocks(machine.max_time());
+    // The serial prewarm pass issues traffic at unrealistic timestamps and a
+    // compulsory-miss-only access mix; let neither its queueing backlog nor
+    // its calibration signal leak into the measured window.
+    machine.memory().clear_link_backlogs();
+    machine.memory().reset_sample_calibration();
+  };
+  if (share != nullptr) {
+    share->warm(member, machine, prewarm);
+  } else {
+    prewarm();
   }
   const sim::Cycles start = machine.max_time();
-  machine.align_clocks(start);
-  // The serial prewarm pass issues traffic at unrealistic timestamps and a
-  // compulsory-miss-only access mix; let neither its queueing backlog nor
-  // its calibration signal leak into the measured window.
-  machine.memory().clear_link_backlogs();
-  machine.memory().reset_sample_calibration();
 
   const sim::Cycles warm = start + cfg.machine.ms_to_cycles(cfg.warmup_ms);
   const sim::Cycles measure = cfg.machine.ms_to_cycles(cfg.measure_ms);
@@ -320,6 +450,19 @@ ScenarioResult run_scenario_with_windows(const Scenario& cfg, double window_ms,
     out.push_back(std::move(m));
   }
   return out;
+}
+
+}  // namespace
+
+ScenarioResult run_scenario(const Scenario& s) { return run_impl(s, 0.0, {}, nullptr, 0); }
+
+ScenarioResult run_scenario(const Scenario& s, SetupShare& share, std::size_t member) {
+  return run_impl(s, 0.0, {}, &share, member);
+}
+
+ScenarioResult run_scenario_with_windows(const Scenario& s, double window_ms,
+                                         const WindowHook& hook) {
+  return run_impl(s, window_ms, hook, nullptr, 0);
 }
 
 }  // namespace pp::core

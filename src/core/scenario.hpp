@@ -12,6 +12,11 @@
 // is a set of thin views that plan scenarios and aggregate their results.
 #pragma once
 
+#include <condition_variable>
+#include <cstddef>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,6 +85,13 @@ inline constexpr int kScenarioSchemaVersion = 3;
 
 [[nodiscard]] ScenarioKey scenario_key(const Scenario& s);
 
+/// The scenario_key derivation minus the run-only fields: the measurement
+/// windows and every flow's SYN reads/instr. Scenarios with equal setup keys
+/// build identical machines and reach the same warm state at the start of
+/// warmup, because no element's initialize or prewarm reads a run-only field
+/// (docs/scenario_engine.md, "Setup groups"). Never persisted.
+[[nodiscard]] ScenarioKey setup_key(const Scenario& s);
+
 /// Per-flow metrics in flow order — exactly what Testbed::run returns.
 using ScenarioResult = std::vector<FlowMetrics>;
 
@@ -91,6 +103,70 @@ using ScenarioResult = std::vector<FlowMetrics>;
 [[nodiscard]] ScenarioResult run_scenario(const Scenario& s);
 [[nodiscard]] ScenarioResult run_scenario_with_windows(const Scenario& s, double window_ms,
                                                        const WindowHook& hook);
+
+/// Warm machine states shared by the members of one fan-out
+/// (ProfileStore::get_or_run_many). Members with equal setup_key form a
+/// setup group. The first member of a group to reach the prewarm point
+/// prewarms and publishes a snapshot of its machine at the start of warmup;
+/// later members restore it instead of prewarming, waiting if it is still
+/// being made. A producer never waits and always publishes (no snapshot when
+/// its prewarm throws, and its followers then prewarm themselves), so a wait
+/// cannot deadlock. A snapshot is freed once every member of its group has
+/// restored it or left, and none outlives the share.
+class SetupShare {
+ public:
+  /// `members[i]` null = slot i takes no part (a memory hit, a repeat).
+  explicit SetupShare(const std::vector<const Scenario*>& members);
+
+  SetupShare(const SetupShare&) = delete;
+  SetupShare& operator=(const SetupShare&) = delete;
+
+  /// True when slot `i` is the first member of a group of two or more; the
+  /// fan-out dispatches these before every other job.
+  [[nodiscard]] bool leads(std::size_t i) const;
+
+  /// Bring `machine` (routers built and initialised) to slot `member`'s
+  /// warm state: run `prewarm` — which must end at the start of warmup — or
+  /// restore a group sibling's snapshot of it.
+  void warm(std::size_t member, sim::Machine& machine, const std::function<void()>& prewarm);
+
+  /// Slot `i` is done with the share (a no-op once it has called warm): a
+  /// store hit or a failure before the prewarm point leaves its group.
+  void leave(std::size_t i);
+
+  /// Snapshots restored so far.
+  [[nodiscard]] std::uint64_t restores() const;
+
+  /// Snapshots alive in this process (tests check none outlive a fan-out).
+  [[nodiscard]] static int live_snapshots();
+
+ private:
+  enum class Phase : std::uint8_t { kOpen, kProducing, kDone };
+  struct Group {
+    std::size_t remaining = 0;  // members yet to take the state, start producing or leave
+    Phase phase = Phase::kOpen;
+    std::shared_ptr<const sim::MachineState> state;  // set while kDone and wanted
+  };
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  /// Mark member `i` as having arrived or left (under mu_): its group, or
+  /// kNone when it is ungrouped or already settled.
+  std::size_t settle(std::size_t i);
+  void publish(std::size_t g, std::shared_ptr<const sim::MachineState> state);
+
+  std::vector<std::size_t> group_of_;  // per slot; kNone = ungrouped
+  std::vector<bool> leads_;
+  std::vector<bool> settled_;
+  std::vector<Group> groups_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::uint64_t restores_ = 0;
+};
+
+/// run_scenario as slot `member` of a fan-out sharing `share`: bit-identical
+/// to run_scenario(s), with the prewarm possibly replaced by a restore.
+[[nodiscard]] ScenarioResult run_scenario(const Scenario& s, SetupShare& share,
+                                          std::size_t member);
 
 /// One-line human summary ("2xMON+1xSYN seed=7 exact"), embedded in cache
 /// files so they are greppable.

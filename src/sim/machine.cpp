@@ -57,4 +57,23 @@ void Machine::align_clocks(Cycles t) {
   }
 }
 
+MachineState Machine::save_state() const {
+  MachineState s;
+  s.memory = ms_->save_state();
+  for (const auto& c : cores_) {
+    s.clocks.push_back(c->now());
+    s.counters.push_back(c->counters());
+  }
+  return s;
+}
+
+void Machine::restore_state(const MachineState& s) {
+  PP_CHECK(s.clocks.size() == cores_.size() && s.counters.size() == cores_.size());
+  ms_->restore_state(s.memory);
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
+    cores_[i]->set_now(s.clocks[i]);
+    cores_[i]->counters() = s.counters[i];
+  }
+}
+
 }  // namespace pp::sim

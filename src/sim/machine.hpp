@@ -28,6 +28,16 @@ class Task {
   virtual void run(Core& core) = 0;
 };
 
+/// Value snapshot of a machine's simulated state: the memory system's
+/// (MemorySystem::State) plus every core's clock and counters. Bound tasks
+/// and the address space are not part of it — a machine restoring a
+/// snapshot must have built the same allocations itself.
+struct MachineState {
+  MemorySystem::State memory;
+  std::vector<Cycles> clocks;
+  std::vector<Counters> counters;
+};
+
 class Machine {
  public:
   explicit Machine(const MachineConfig& cfg = MachineConfig{});
@@ -55,6 +65,12 @@ class Machine {
   /// Bring every core's clock up to at least `t` (used when starting a
   /// measurement window so all flows begin together).
   void align_clocks(Cycles t);
+
+  [[nodiscard]] MachineState save_state() const;
+
+  /// Overwrite the simulated state with `s`, saved from a machine of the same
+  /// MachineConfig (see MemorySystem::restore_state).
+  void restore_state(const MachineState& s);
 
  private:
   MachineConfig cfg_;

@@ -553,6 +553,55 @@ void MemorySystem::clear_link_backlogs() {
   for (auto& q : qpi_) q->clear_backlog();
 }
 
+namespace {
+
+template <typename T>
+std::vector<T> copy_all(const std::vector<std::unique_ptr<T>>& from) {
+  std::vector<T> out;
+  out.reserve(from.size());
+  for (const auto& p : from) out.push_back(*p);
+  return out;
+}
+
+template <typename T>
+void assign_all(std::vector<std::unique_ptr<T>>& to, const std::vector<T>& from) {
+  PP_CHECK(to.size() == from.size());
+  for (std::size_t i = 0; i < to.size(); ++i) *to[i] = from[i];
+}
+
+}  // namespace
+
+MemorySystem::State MemorySystem::save_state() const {
+  State s;
+  s.l1 = copy_all(l1_);
+  s.l2 = copy_all(l2_);
+  s.l3 = copy_all(l3_);
+  s.mc = copy_all(mc_);
+  s.qpi = copy_all(qpi_);
+  if (est_ != nullptr) s.est = *est_;
+  if (stream_ != nullptr) s.stream = *stream_;
+  s.pending_binv = pending_binv_;
+  s.model_rng = model_rng_;
+  return s;
+}
+
+void MemorySystem::restore_state(const State& s) {
+  assign_all(l1_, s.l1);
+  assign_all(l2_, s.l2);
+  assign_all(l3_, s.l3);
+  assign_all(mc_, s.mc);
+  assign_all(qpi_, s.qpi);
+  PP_CHECK(s.est.has_value() == (est_ != nullptr));
+  PP_CHECK(s.stream.has_value() == (stream_ != nullptr));
+  if (est_ != nullptr) *est_ = *s.est;
+  if (stream_ != nullptr) *stream_ = *s.stream;
+  pending_binv_ = s.pending_binv;
+  model_rng_ = s.model_rng;
+  for (AddressSpace::LineClass& m : class_memo_) m = AddressSpace::LineClass{};
+  memo_version_ = ~std::uint64_t{0};
+  pin_map_version_ = ~std::uint64_t{0};
+}
+
 void MemorySystem::writeback(Addr line, Cycles now) {
   const int domain = domain_of(line << kLineShift);
   if (domain >= 0 && domain < cfg_.sockets) controller(domain).post(line, now);

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "model/cache_model.hpp"
@@ -152,6 +153,27 @@ class MemorySystem {
   }
 
   [[nodiscard]] const MachineConfig& config() const { return cfg_; }
+
+  /// Value copy of everything this memory system simulates: the tag stores,
+  /// the controller/QPI queues, the statistical models with their RNG
+  /// streams, the structural-pressure RNG streams and the back-invalidation
+  /// debt. The address-space binding and the host memo caches (line
+  /// classification, pinned-set map) are not part of it.
+  struct State {
+    std::vector<Cache> l1, l2, l3;
+    std::vector<QueuedLink> mc, qpi;
+    std::optional<model::SetSampleEstimator> est;
+    std::optional<model::StreamModel> stream;
+    std::vector<std::uint32_t> pending_binv;
+    std::vector<Pcg32> model_rng;
+  };
+
+  [[nodiscard]] State save_state() const;
+
+  /// Overwrite the simulated state with `s`, taken from a memory system of
+  /// the same MachineConfig. Keeps this system's address-space binding and
+  /// resets its memo caches, so they rebuild against its own address space.
+  void restore_state(const State& s);
 
  private:
   /// The full tag-store state machine (the only path in kExact mode).

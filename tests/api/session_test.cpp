@@ -135,6 +135,23 @@ TEST(Session, RunManyBitIdenticalSerialVsParallel) {
   EXPECT_EQ(serial_store.stats().simulated, parallel_store.stats().simulated);
 }
 
+TEST(Session, PredictRestoresEachSweepGroupsWarmStateFourTimes) {
+  // A predict sweeps every flow over the five quick ramp levels at one seed;
+  // the levels share one machine setup, so one level prewarms and the other
+  // four restore its warm state: prewarm_shared = 4 per flow on a fresh
+  // store at one host thread.
+  ExperimentSpec spec;
+  spec.kind = ExperimentKind::kPredict;
+  spec.flows = {FlowSpec::of(FlowType::kMon, 3), FlowSpec::of(FlowType::kIp, 4)};
+  spec.fidelity = sim::SimFidelity::kStreamed;
+  core::ProfileStore store;
+  Session session(test_options(1), &store);
+  const Result r = session.run(spec);
+  ASSERT_TRUE(r.ok()) << r.to_text();
+  EXPECT_EQ(store.stats().prewarm_shared, 4U * spec.flows.size());
+  EXPECT_EQ(core::SetupShare::live_snapshots(), 0);
+}
+
 TEST(Session, DegenerateZeroWindowSpecReportsCleanZeros) {
   core::ProfileStore store;
   Session session(test_options(), &store);

@@ -146,17 +146,19 @@ TEST(ProfileStoreRo, CorruptRoEntryWarnsResimulatesAndNeverMutatesTheLayer) {
   EXPECT_EQ(content, "CORRUPT{");
 }
 
-TEST(ProfileStoreRo, StatsLineAppendsRoQuarantineWarningsLast) {
+TEST(ProfileStoreRo, StatsLineAppendsNewCountersLast) {
   ProfileStore::Stats st;
   st.simulated = 2;
   st.ro_quarantine_warnings = 5;
+  st.prewarm_shared = 7;
   const std::string line = ProfileStore::stats_line(st);
-  // Tooling anchors on the original prefix; new counters append after it.
+  // Tooling anchors on the original prefix; new counters append after it,
+  // in the order they were added.
   EXPECT_EQ(line.rfind("simulated=2 ", 0), 0U) << line;
-  const std::string tail = "ro_quarantine_warnings=5";
+  const std::string tail = " memory_only=0 ro_quarantine_warnings=5 prewarm_shared=7";
   ASSERT_GE(line.size(), tail.size());
   EXPECT_EQ(line.substr(line.size() - tail.size()), tail)
-      << "ro_quarantine_warnings must stay the last field: " << line;
+      << "new fields must append after ro_quarantine_warnings: " << line;
 }
 
 TEST(ProfileStoreRo, StatsDeltaSubtractsCountersAndCarriesTheMode) {
@@ -169,10 +171,12 @@ TEST(ProfileStoreRo, StatsDeltaSubtractsCountersAndCarriesTheMode) {
   base.quarantined = 1;
   base.persist_errors = 1;
   base.ro_quarantine_warnings = 1;
+  base.prewarm_shared = 4;
   ProfileStore::Stats now = base;
   now.simulated += 2;
   now.memory_hits += 4;
   now.ro_quarantine_warnings += 1;
+  now.prewarm_shared += 8;
   now.memory_only = true;
 
   const ProfileStore::Stats d = ProfileStore::Stats::delta(now, base);
@@ -184,10 +188,11 @@ TEST(ProfileStoreRo, StatsDeltaSubtractsCountersAndCarriesTheMode) {
   EXPECT_EQ(d.quarantined, 0U);
   EXPECT_EQ(d.persist_errors, 0U);
   EXPECT_EQ(d.ro_quarantine_warnings, 1U);
+  EXPECT_EQ(d.prewarm_shared, 8U);
   EXPECT_TRUE(d.memory_only) << "memory_only is a mode, not a counter: current value carries";
   EXPECT_EQ(ProfileStore::stats_line(d),
             "simulated=2 memory_hits=4 disk_hits=0 ro_hits=0 coalesced=0 quarantined=0 "
-            "persist_errors=0 memory_only=1 ro_quarantine_warnings=1");
+            "persist_errors=0 memory_only=1 ro_quarantine_warnings=1 prewarm_shared=8");
 }
 
 TEST(ProfileStoreRo, PrimaryWinsWhenBothLayersHold) {

@@ -4,15 +4,18 @@
 // crash. Fault-injected cases use base/fault.hpp (the PP_FAULTS machinery).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 
 #include "base/fault.hpp"
 #include "base/status.hpp"
 #include "base/strings.hpp"
 #include "core/profile_store.hpp"
+#include "core/sweep.hpp"
 
 namespace pp::core {
 namespace {
@@ -308,6 +311,79 @@ TEST(StoreFault, GetOrRunManyRethrowsLowestIndexError) {
     // Every healthy slot still ran to completion.
     EXPECT_EQ(store.stats().simulated, 2U) << "threads=" << threads;
   }
+}
+
+/// One setup group: an FW sweep target at the five quick ramp levels
+/// (same machine and warm state, different SYN reads/instr).
+std::vector<Scenario> setup_group() {
+  Testbed tb(Scale::kQuick, 1);
+  std::vector<Scenario> jobs;
+  for (const SynParams& level : SweepProfiler::default_levels(Scale::kQuick)) {
+    RunConfig cfg = tb.configure({FlowSpec::of(FlowType::kFw)}, 3);
+    for (int c = 0; c < 3; ++c) {
+      cfg.flows.push_back(FlowSpec::syn_flow(level, static_cast<std::uint64_t>(c + 2)));
+      cfg.placement.push_back(FlowPlacement{1 + c, -1});
+    }
+    cfg.warmup_ms = 0.2;
+    cfg.measure_ms = 0.3;
+    jobs.push_back(Scenario::of(tb, cfg));
+  }
+  return jobs;
+}
+
+/// Run `jobs` through one fan-out whose first dispatched job (the setup
+/// leader) fails as `arm` arranges; every other slot must come out with
+/// its standalone bytes, nothing may hang, and no warm state may survive.
+void expect_failed_leader_is_contained(
+    const std::function<std::unique_ptr<InjectedFault>(std::vector<Scenario>&)>& arm,
+    StatusKind kind, const std::string& site) {
+  const std::vector<Scenario> jobs = setup_group();
+  std::vector<ScenarioResult> alone;
+  for (const Scenario& s : jobs) alone.push_back(run_scenario(s));
+  for (const int threads : {1, 4}) {
+    std::vector<Scenario> armed = jobs;
+    ProfileStore store;
+    {
+      const std::unique_ptr<InjectedFault> fault = arm(armed);
+      try {
+        (void)store.get_or_run_many(armed, threads);
+        FAIL() << "the failing leader must surface (threads=" << threads << ")";
+      } catch (const StatusError& e) {
+        EXPECT_EQ(e.status().kind, kind) << "threads=" << threads;
+        EXPECT_EQ(e.status().site, site) << "threads=" << threads;
+      }
+    }
+    EXPECT_EQ(SetupShare::live_snapshots(), 0) << "threads=" << threads;
+    // Four members ran: one prewarmed, three restored its state.
+    EXPECT_EQ(store.stats().simulated, jobs.size() - 1) << "threads=" << threads;
+    EXPECT_EQ(store.stats().prewarm_shared, jobs.size() - 2) << "threads=" << threads;
+    // The members that ran are stored with their standalone bytes, and the
+    // failed key was released: a retry outside the fan-out runs it alone.
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+      expect_identical(alone[j], *store.get_or_run(jobs[j]));
+    }
+    EXPECT_EQ(store.stats().simulated, jobs.size()) << "threads=" << threads;
+  }
+}
+
+TEST(StoreFault, SetupLeaderFaultLeavesFollowersStandalone) {
+  // The first scenario.run occurrence is the group leader at threads=1
+  // (leaders dispatch first); at threads=4 it is whichever member starts
+  // first. Either way one member fails before its prewarm point.
+  expect_failed_leader_is_contained(
+      [](std::vector<Scenario>&) {
+        return std::make_unique<InjectedFault>("scenario.run:fail@1");
+      },
+      StatusKind::kFaultInjected, "scenario.run");
+}
+
+TEST(StoreFault, SetupLeaderPastItsDeadlineLeavesFollowersStandalone) {
+  expect_failed_leader_is_contained(
+      [](std::vector<Scenario>& jobs) {
+        jobs[0].deadline = std::chrono::steady_clock::now();  // already expired
+        return std::unique_ptr<InjectedFault>();
+      },
+      StatusKind::kBudgetExceeded, "scenario.deadline");
 }
 
 TEST(StoreFault, StatsLineCarriesRobustnessCounters) {

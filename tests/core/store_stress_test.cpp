@@ -161,6 +161,44 @@ TEST(StoreStressTest, FailingRunWakesAllWaitersAndReleasesKeyForRetry) {
   EXPECT_GE(store.stats().simulated, 1U);
 }
 
+TEST(StoreStressTest, WaiterIsNeverRefusedByAnotherCallersBudget) {
+  // Budget is a per-caller guard, not key content: a caller without one
+  // that coalesces onto an over-budget runner of the same key must still
+  // get the result (doomed callers may fail, or hit the stored result).
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 3; ++round) {
+    ProfileStore store;
+    const Scenario doomed = doomed_scenario(500 + static_cast<std::uint64_t>(round));
+    Scenario healthy = doomed;
+    healthy.budget_ms = 0;
+    std::atomic<int> ready{0};
+    std::atomic<int> healthy_ok{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1, std::memory_order_relaxed);
+        while (ready.load(std::memory_order_relaxed) < kThreads) std::this_thread::yield();
+        if (t % 2 == 0) {
+          try {
+            (void)store.get_or_run(doomed);
+          } catch (const StatusError& e) {
+            EXPECT_EQ(e.status().kind, StatusKind::kBudgetExceeded) << e.what();
+          }
+          return;
+        }
+        try {
+          if (store.get_or_run(healthy) != nullptr) healthy_ok.fetch_add(1);
+        } catch (const StatusError& e) {
+          ADD_FAILURE() << "refused by another caller's budget: " << e.what();
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    EXPECT_EQ(healthy_ok.load(), kThreads / 2) << "round " << round;
+    EXPECT_EQ(store.stats().simulated, 1U) << "round " << round;
+  }
+}
+
 TEST(StoreStressTest, ManyMixedSuccessAndFailureRethrowsLowestIndexError) {
   // get_or_run_many's contract under contention: every job completes even
   // when some fail, and the error that surfaces is the lowest-index one —
