@@ -29,15 +29,33 @@
 #include <string>
 #include <vector>
 
+#include "base/env.hpp"
+#include "base/fault.hpp"
 #include "base/strings.hpp"
+#include "base/table.hpp"
 #include "click/parser.hpp"
-#include "common.hpp"
 #include "core/parallel.hpp"
+#include "core/profile_store.hpp"
+#include "core/profiler.hpp"
+#include "core/scenario.hpp"
+#include "core/sweep.hpp"
+#include "core/testbed.hpp"
 
 namespace {
 
 using namespace pp;
 using namespace pp::core;
+
+void header(const char* artifact, const char* description, Scale scale) {
+  std::printf("%s", banner(std::string(artifact) + " — " + description).c_str());
+  std::printf("scale=%s (set REPRO_SCALE=quick|standard|full)\n\n", to_string(scale));
+  std::fflush(stdout);
+}
+
+void print_table(const char* title, const TextTable& table) {
+  std::printf("%s\n%s\nCSV:\n%s\n", title, table.to_text().c_str(), table.to_csv().c_str());
+  std::fflush(stdout);
+}
 
 constexpr int kBatch = 32;  // burst size for the batched runs
 
@@ -293,7 +311,7 @@ int main() {
   // so the JSON carries all three columns from one invocation.
   const bool sampled_mode = fidelity != sim::SimFidelity::kExact;
   const bool streamed_mode = fidelity == sim::SimFidelity::kStreamed;
-  bench::header("Section 2.2 ablation", "parallel vs pipelined parallelization", scale);
+  header("Section 2.2 ablation", "parallel vs pipelined parallelization", scale);
   const WorkloadSizes z = WorkloadSizes::for_scale(scale);
   sim::MachineConfig mcfg;  // exact fidelity: the reference results
   sim::MachineConfig sampled_cfg;
@@ -401,7 +419,7 @@ int main() {
                "cross-core transfers/packet"});
   t.add_numeric_row("parallel (1 core)", {par.pps / 1e6, par.refs_pp, par.xcore_pp}, 2);
   t.add_numeric_row("pipelined (2 cores)", {pipe.pps / 1e6, pipe.refs_pp, pipe.xcore_pp}, 2);
-  bench::print_table("IP chain, parallel vs pipelined:", t);
+  print_table("IP chain, parallel vs pipelined:", t);
   std::printf(
       "extra shared-cache references per packet from pipelining: %.1f\n"
       "(paper: pipelining costs 10-15 extra cache misses per packet)\n\n",
@@ -413,7 +431,7 @@ int main() {
   TextTable t2({"configuration", "throughput (Mpps)", "L3 refs/packet"});
   t2.add_numeric_row("parallel (1 core, 24MB table)", {m.pps / 1e6, m.refs_pp}, 3);
   t2.add_numeric_row("pipelined (2 sockets, 12MB each)", {s.pps / 1e6, s.refs_pp}, 3);
-  bench::print_table("Contrived workload (>200 accesses, 2xL3 structure):", t2);
+  print_table("Contrived workload (>200 accesses, 2xL3 structure):", t2);
   std::printf(
       "paper: only this contrived shape favors pipelining; every realistic\n"
       "workload prefers the parallel approach.\n\n");
@@ -427,7 +445,7 @@ int main() {
                         r.exact.host_speedup(), r.pps_delta_pct(), r.refs_delta_pct()},
                        3);
   }
-  bench::print_table("Batched execution (same simulated scenario, burst drivers):", t3);
+  print_table("Batched execution (same simulated scenario, burst drivers):", t3);
 
   // --- Scenario engine: profile-store cold vs warm ------------------------
   CacheDemo cache;
@@ -479,7 +497,7 @@ int main() {
                          3);
       check_drift(r.sampled_pps_drift_pct());
     }
-    bench::print_table("Sampled fidelity (same scenario, set-sampled tag stores):", t4);
+    print_table("Sampled fidelity (same scenario, set-sampled tag stores):", t4);
   }
   if (streamed_mode) {
     TextTable t5({"configuration", "host s exact (B=32)", "host s streamed (B=32)",
@@ -491,7 +509,7 @@ int main() {
                          3);
       check_drift(r.streamed_pps_drift_pct());
     }
-    bench::print_table(
+    print_table(
         "Streamed fidelity (adaptive sampling period + payload-stream model):", t5);
   }
 

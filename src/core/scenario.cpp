@@ -292,6 +292,27 @@ int SetupShare::live_snapshots() { return g_live_snapshots.load(std::memory_orde
 
 // ------------------------------------------------------------------- running
 
+void check_run_guards(double run_ms, double budget_ms,
+                      std::chrono::steady_clock::time_point deadline) {
+  // The budget guard: simulated duration is known up front (windows are
+  // scenario fields), so a runaway spec is refused deterministically before
+  // any work instead of wedging a worker mid-run.
+  if (budget_ms > 0 && run_ms > budget_ms) {
+    throw StatusError(StatusKind::kBudgetExceeded, "scenario.run",
+                      strformat("simulated run of %.3f ms exceeds the run budget %.3f ms",
+                                run_ms, budget_ms));
+  }
+  // The deadline guard: one clock read before any simulation work, so a
+  // deadlined ppd request stops *between* scenarios — the work done so far
+  // is in the store, the client gets a structured budget_exceeded error,
+  // and a draining daemon is never wedged behind a runaway plan.
+  if (deadline != std::chrono::steady_clock::time_point{} &&
+      std::chrono::steady_clock::now() >= deadline) {  // pplint: allow(nondeterminism) — deadline guard, outside simulated results
+    throw StatusError(StatusKind::kBudgetExceeded, "scenario.deadline",
+                      "wall-clock request deadline expired before this scenario started");
+  }
+}
+
 namespace {
 
 struct Snapshot {
@@ -314,30 +335,11 @@ Snapshot snap(sim::Machine& m, int core, const click::Router& router) {
   return s;
 }
 
-ScenarioResult run_impl(const Scenario& cfg, double window_ms, const WindowHook& hook,
-                        SetupShare* share, std::size_t member) {
+ScenarioResult run_impl(const Scenario& cfg, SetupShare* share, std::size_t member) {
   PP_CHECK(!cfg.flows.empty());
   PP_CHECK(cfg.flows.size() == cfg.placement.size());
 
-  // The budget guard: simulated duration is known up front (windows are
-  // scenario fields), so a runaway spec is refused deterministically before
-  // any work instead of wedging a worker mid-run.
-  if (cfg.budget_ms > 0 && cfg.warmup_ms + cfg.measure_ms > cfg.budget_ms) {
-    throw StatusError(StatusKind::kBudgetExceeded, "scenario.run",
-                      strformat("scenario windows %.3f ms (warmup %.3f + measure %.3f) "
-                                "exceed the run budget %.3f ms",
-                                cfg.warmup_ms + cfg.measure_ms, cfg.warmup_ms,
-                                cfg.measure_ms, cfg.budget_ms));
-  }
-  // The deadline guard: one clock read before any simulation work, so a
-  // deadlined ppd request stops *between* scenarios — the work done so far
-  // is in the store, the client gets a structured budget_exceeded error,
-  // and a draining daemon is never wedged behind a runaway plan.
-  if (cfg.deadline != std::chrono::steady_clock::time_point{} &&
-      std::chrono::steady_clock::now() >= cfg.deadline) {  // pplint: allow(nondeterminism) — deadline guard, outside simulated results
-    throw StatusError(StatusKind::kBudgetExceeded, "scenario.deadline",
-                      "wall-clock request deadline expired before this scenario started");
-  }
+  check_run_guards(cfg.warmup_ms + cfg.measure_ms, cfg.budget_ms, cfg.deadline);
   if (pp::fault("scenario.run")) {
     throw StatusError(StatusKind::kFaultInjected, "scenario.run",
                       "injected scenario-execution failure (PP_FAULTS)");
@@ -345,7 +347,6 @@ ScenarioResult run_impl(const Scenario& cfg, double window_ms, const WindowHook&
 
   sim::Machine machine(cfg.machine);
   std::vector<std::unique_ptr<click::Router>> routers;
-  std::vector<FlowHandle> handles;
   routers.reserve(cfg.flows.size());
 
   for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
@@ -372,7 +373,6 @@ ScenarioResult run_impl(const Scenario& cfg, double window_ms, const WindowHook&
       std::fprintf(stderr, "task install failed: %s\n", err->c_str());
       PP_CHECK(false);
     }
-    handles.push_back(FlowHandle{static_cast<int>(i), pl.core, spec.type, router.get()});
     routers.push_back(std::move(router));
   }
 
@@ -413,17 +413,7 @@ ScenarioResult run_impl(const Scenario& cfg, double window_ms, const WindowHook&
     begin.push_back(snap(machine, cfg.placement[i].core, *routers[i]));
   }
 
-  if (window_ms > 0 && hook) {
-    const sim::Cycles window = cfg.machine.ms_to_cycles(window_ms);
-    for (sim::Cycles t = warm; t < warm + measure;) {
-      t += window;
-      if (t > warm + measure) t = warm + measure;
-      machine.run_until(t);
-      hook(machine, handles);
-    }
-  } else {
-    machine.run_until(warm + measure);
-  }
+  machine.run_until(warm + measure);
 
   ScenarioResult out;
   out.reserve(cfg.flows.size());
@@ -454,15 +444,10 @@ ScenarioResult run_impl(const Scenario& cfg, double window_ms, const WindowHook&
 
 }  // namespace
 
-ScenarioResult run_scenario(const Scenario& s) { return run_impl(s, 0.0, {}, nullptr, 0); }
+ScenarioResult run_scenario(const Scenario& s) { return run_impl(s, nullptr, 0); }
 
 ScenarioResult run_scenario(const Scenario& s, SetupShare& share, std::size_t member) {
-  return run_impl(s, 0.0, {}, &share, member);
-}
-
-ScenarioResult run_scenario_with_windows(const Scenario& s, double window_ms,
-                                         const WindowHook& hook) {
-  return run_impl(s, window_ms, hook, nullptr, 0);
+  return run_impl(s, &share, member);
 }
 
 }  // namespace pp::core

@@ -97,12 +97,17 @@ using ScenarioResult = std::vector<FlowMetrics>;
 
 /// Run a scenario on a fresh machine. Pure: no global state is read or
 /// written, so concurrent calls from host threads are safe and results are
-/// bit-identical for equal scenarios. `window_ms`/`hook` mirror
-/// Testbed::run_with_windows (hooked runs are not cacheable — the hook can
-/// mutate the machine — and bypass the ProfileStore).
+/// bit-identical for equal scenarios. A run that mutates its machine
+/// mid-run (the Section 4 governor loop in api/artifacts.cpp) is not a
+/// Scenario: it drives its own Machine, uncached, after check_run_guards.
 [[nodiscard]] ScenarioResult run_scenario(const Scenario& s);
-[[nodiscard]] ScenarioResult run_scenario_with_windows(const Scenario& s, double window_ms,
-                                                       const WindowHook& hook);
+
+/// The execution guards run_scenario applies before any work, for a run of
+/// `run_ms` simulated ms: StatusError(kBudgetExceeded) at "scenario.run"
+/// when a positive `budget_ms` is below `run_ms`, and at "scenario.deadline"
+/// when `deadline` is set and has passed.
+void check_run_guards(double run_ms, double budget_ms,
+                      std::chrono::steady_clock::time_point deadline);
 
 /// Warm machine states shared by the members of one fan-out
 /// (ProfileStore::get_or_run_many). Members with equal setup_key form a

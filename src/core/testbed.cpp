@@ -73,11 +73,6 @@ std::vector<FlowMetrics> Testbed::run(const RunConfig& cfg) const {
   return run_scenario(Scenario::of(*this, cfg));
 }
 
-std::vector<FlowMetrics> Testbed::run_with_windows(const RunConfig& cfg, double window_ms,
-                                                   const WindowHook& hook) const {
-  return run_scenario_with_windows(Scenario::of(*this, cfg), window_ms, hook);
-}
-
 FlowMetrics Testbed::run_solo(const FlowSpec& spec) const {
   RunConfig cfg = configure({spec});
   return run(cfg)[0];

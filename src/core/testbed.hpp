@@ -6,7 +6,6 @@
 #pragma once
 
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -102,16 +101,14 @@ struct FlowMetrics {
   [[nodiscard]] double l2_hits_per_packet() const { return per_packet(delta.l2_hits); }
 };
 
-/// Live handles passed to window hooks (the aggressiveness governor uses
-/// these to read counters and adjust ControlShims mid-run).
+/// A live flow on a running machine: what the aggressiveness governor reads
+/// counters from and whose ControlShim it adjusts mid-run.
 struct FlowHandle {
   int index = 0;
   int core = 0;
   FlowType type = FlowType::kIp;
   click::Router* router = nullptr;
 };
-
-using WindowHook = std::function<void(sim::Machine&, const std::vector<FlowHandle>&)>;
 
 class Testbed {
  public:
@@ -147,12 +144,6 @@ class Testbed {
   /// therefore safe to call concurrently from several host threads, each
   /// run building its own Machine (see core/parallel.hpp).
   [[nodiscard]] std::vector<FlowMetrics> run(const RunConfig& cfg) const;
-
-  /// Same, invoking `hook` every `window_ms` of simulated time during the
-  /// measurement window (after warmup).
-  [[nodiscard]] std::vector<FlowMetrics> run_with_windows(const RunConfig& cfg,
-                                                          double window_ms,
-                                                          const WindowHook& hook) const;
 
   /// One flow alone on core 0 (the paper's "solo run").
   [[nodiscard]] FlowMetrics run_solo(const FlowSpec& spec) const;

@@ -22,7 +22,8 @@ class AggressivenessGovernor {
   /// `slack`: tolerated overshoot fraction before throttling kicks in.
   explicit AggressivenessGovernor(std::vector<Limit> limits, double slack = 0.05);
 
-  /// WindowHook: call once per monitoring window.
+  /// Call once per monitoring window from the loop that advances the
+  /// machine; `flows` indexes the limits' flow_index.
   void operator()(sim::Machine& machine, const std::vector<FlowHandle>& flows);
 
   /// Max refs/sec observed for a flow in any single window (reporting).

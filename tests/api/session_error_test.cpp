@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <fstream>
 #include <sstream>
 
@@ -85,6 +86,41 @@ TEST(SessionError, Table1ArtifactMatchesTheGoldenBytes) {
   ASSERT_TRUE(r.ok()) << r.error->detail;
   EXPECT_EQ(r.artifact_text, golden.str());
   EXPECT_EQ(render_result(r, "json"), golden.str()) << "artifact bytes ignore the format";
+}
+
+TEST(SessionError, AblationArtifactsHonorAnExpiredDeadline) {
+  // numa runs through the store; throttle drives its own machine, so it
+  // must apply the same guards itself.
+  for (const char* name : {"numa", "throttle"}) {
+    core::ProfileStore store;
+    SessionOptions opts = test_options();
+    opts.wall_deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    Session session(opts, &store);
+    ExperimentSpec spec;
+    spec.artifact = name;
+    const Result r = session.run(spec);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.error->kind, StatusKind::kBudgetExceeded) << name;
+    EXPECT_EQ(r.error->site, "scenario.deadline") << name;
+    EXPECT_TRUE(r.artifact_text.empty()) << name;
+    EXPECT_EQ(store.stats().simulated, 0U) << name;
+  }
+}
+
+TEST(SessionError, AblationArtifactsHonorTheRunBudget) {
+  for (const char* name : {"numa", "throttle"}) {
+    core::ProfileStore store;
+    SessionOptions opts = test_options();
+    opts.run_budget_ms = 1;
+    Session session(opts, &store);
+    ExperimentSpec spec;
+    spec.artifact = name;
+    const Result r = session.run(spec);
+    ASSERT_FALSE(r.ok()) << name;
+    EXPECT_EQ(r.error->kind, StatusKind::kBudgetExceeded) << name;
+    EXPECT_EQ(r.error->site, "scenario.run") << name;
+    EXPECT_TRUE(r.artifact_text.empty()) << name;
+  }
 }
 
 TEST(SessionError, BudgetExceededIsNamedAndCarriesTheNumbers) {

@@ -159,15 +159,20 @@ TEST_F(TcpTransportTest, TcpAndUdsServeByteIdenticalResultsToADirectSession) {
   const std::optional<ExperimentSpec> spec = ExperimentSpec::parse(spec_json);
   ASSERT_TRUE(spec.has_value());
   const Result r = session.run(*spec);
-  EXPECT_EQ(tcp_reply.body, r.to_text() + "\n");
+  ASSERT_TRUE(r.ok()) << r.error->detail;
 
-  // Both also agree in every other format.
-  for (const char* fmt : {"csv", "json"}) {
+  // Every format, from both transports, equals the direct run's renderer.
+  const struct {
+    const char* format;
+    std::string direct;
+  } formats[] = {{"text", r.to_text() + "\n"}, {"csv", r.to_csv()}, {"json", r.to_json()}};
+  for (const auto& f : formats) {
     Reply a;
     Reply b;
-    ASSERT_TRUE(tcp.run(spec_json, fmt, 0, a).ok());
-    ASSERT_TRUE(uds.run(spec_json, fmt, 0, b).ok());
-    EXPECT_EQ(a.body, b.body) << fmt;
+    ASSERT_TRUE(tcp.run(spec_json, f.format, 0, a).ok());
+    ASSERT_TRUE(uds.run(spec_json, f.format, 0, b).ok());
+    EXPECT_EQ(a.body, f.direct) << "tcp " << f.format;
+    EXPECT_EQ(b.body, f.direct) << "uds " << f.format;
   }
 
   // The TCP path hits the same warm store: a repeat simulates nothing.

@@ -86,19 +86,6 @@ TEST(Testbed, ElementStatsIncludeSkbRecycle) {
   EXPECT_TRUE(found);
 }
 
-TEST(Testbed, WindowHookFiresDuringMeasurement) {
-  Testbed tb = quick_testbed();
-  RunConfig cfg = fast_run({FlowSpec::of(FlowType::kIp)});
-  int calls = 0;
-  const auto r = tb.run_with_windows(cfg, 0.1, [&](sim::Machine&, const std::vector<FlowHandle>& h) {
-    ++calls;
-    EXPECT_EQ(h.size(), 1U);
-    EXPECT_NE(h[0].router, nullptr);
-  });
-  EXPECT_GE(calls, 6);  // 0.7ms / 0.1ms windows
-  EXPECT_GT(r[0].delta.packets, 0U);
-}
-
 TEST(MergeMetrics, PoolsCountsAndSeconds) {
   Testbed tb = quick_testbed();
   const auto a = tb.run(fast_run({FlowSpec::of(FlowType::kIp)}));

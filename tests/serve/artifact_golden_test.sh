@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The artifact byte lock for the cheap paper artifacts (table1, fig6, fig7):
+# The artifact byte lock for the cheap paper artifacts (table1, fig6, fig7,
+# numa, throttle):
 #
 #   1. `ppctl run examples/specs/<name>.json` prints exactly
 #      tests/golden/artifacts/<name>.quick.txt, at --threads 1 and 4;
@@ -7,7 +8,7 @@
 #   3. through a ppd daemon the same specs — sent concurrently — reply with
 #      the same bytes, and `--format json` leaves artifact bytes unchanged.
 #
-# CI runs the same comparison for all nine artifacts.
+# CI runs the same comparison for all eleven artifacts.
 #
 # usage: artifact_golden_test.sh <ppd-binary> <ppctl-binary> <repo-root>
 set -u
@@ -15,7 +16,7 @@ set -u
 PPD=$1
 PPCTL=$2
 ROOT=$3
-NAMES="table1 fig6 fig7"
+NAMES="table1 fig6 fig7 numa throttle"
 
 TMP=$(mktemp -d)
 DPID=""
@@ -54,7 +55,7 @@ for n in $NAMES; do
     || fail "warm $n re-simulated"
 done
 
-# 3: through ppd, all three at once.
+# 3: through ppd, all of them at once.
 export PROFILE_CACHE="$TMP/ppd-cache"
 SOCK="$TMP/ppd.sock"
 "$PPD" --socket "$SOCK" 2> "$TMP/daemon.err" &

@@ -3,8 +3,9 @@
 // Experiments are data: a JSON ExperimentSpec file fully describes machine
 // knobs, flows, placement, windows, seeds and what to compute, and ppctl
 // executes any such file (or builds one from flags) and prints text, CSV or
-// JSON. Specs with an "artifact" field print one of the paper's tables or
-// figures (Table 1, Figures 2 and 4-10). See docs/api.md for the schema.
+// JSON. Specs with an "artifact" field print one of the paper's results
+// (Table 1, Figures 2 and 4-10, the NUMA and throttling ablations). See
+// docs/api.md for the schema.
 //
 //   ppctl run <spec.json>...      execute spec files (batched)
 //   ppctl sweep  --flows T,..     SYN-sweep each listed flow type
