@@ -184,6 +184,7 @@ class JsonParser {
     out.is_int_ = !fractional && !overflow;
     out.negative_ = negative;
     out.magnitude_ = mag;
+    if (out.is_int_) return true;  // as_double() reads the exact magnitude
     const std::string text = s_.substr(start, pos_ - start);
     out.num_ = std::strtod(text.c_str(), nullptr);
     if (!std::isfinite(out.num_)) return fail("number out of range");

@@ -1,12 +1,14 @@
-// Minimal JSON document model for the experiment-spec layer.
+// Minimal JSON document model: the one reader for every JSON document the
+// repo takes in — experiment-spec files, ppd request envelopes and the
+// ProfileStore cache files (core/profile_store.cpp).
 //
-// This extends the strict integer-only subset the ProfileStore cache files
-// use (core/profile_store.cpp) just far enough for human-written spec files:
-// objects (insertion-ordered, duplicate keys rejected), arrays, strings with
-// the basic escapes, signed integers, fractional numbers, booleans and null.
-// Parsing is strict — trailing garbage, NaN/Infinity, comments and unknown
-// escapes are errors — because a spec that does not parse cleanly must be
-// rejected loudly, never half-applied (see docs/api.md).
+// It covers objects (insertion-ordered, duplicate keys rejected), arrays,
+// strings with the basic escapes, signed integers (exact over the u64
+// range), fractional numbers, booleans and null. Parsing is strict —
+// trailing garbage, NaN/Infinity, comments and unknown escapes are errors —
+// because a spec that does not parse cleanly must be rejected loudly, never
+// half-applied (see docs/api.md), and a cache file that does not parse is
+// quarantined, never half-loaded (docs/robustness.md).
 #pragma once
 
 #include <cstdint>

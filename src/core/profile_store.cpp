@@ -1,12 +1,16 @@
 #include "core/profile_store.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 
+#include "api/json.hpp"
 #include "api/options.hpp"
 #include "base/check.hpp"
 #include "base/fault.hpp"
@@ -386,190 +390,86 @@ void ProfileStore::note_persist_failure(const std::string& path) const {
 
 namespace {
 
-/// Counters <-> fixed-order array. The order is part of the schema; adding a
-/// counter requires a kScenarioSchemaVersion bump.
-constexpr std::size_t kNumCounters = 15;
+/// The counters in their on-disk order, shared by the writer, the reader and
+/// the checksum. The order is part of the schema; adding a counter requires a
+/// kScenarioSchemaVersion bump.
+constexpr std::array<std::uint64_t sim::Counters::*, 15> kCounterFields = {
+    &sim::Counters::instructions, &sim::Counters::cycles, &sim::Counters::l1_hits,
+    &sim::Counters::l1_misses, &sim::Counters::l2_hits, &sim::Counters::l2_misses,
+    &sim::Counters::l3_refs, &sim::Counters::l3_misses, &sim::Counters::xcore_hits,
+    &sim::Counters::remote_refs, &sim::Counters::writebacks, &sim::Counters::mc_queue_cycles,
+    &sim::Counters::qpi_queue_cycles, &sim::Counters::packets, &sim::Counters::drops,
+};
 
 void counters_out(std::string& j, const sim::Counters& c) {
-  j += strformat("[%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu]",
-                 static_cast<unsigned long long>(c.instructions),
-                 static_cast<unsigned long long>(c.cycles),
-                 static_cast<unsigned long long>(c.l1_hits),
-                 static_cast<unsigned long long>(c.l1_misses),
-                 static_cast<unsigned long long>(c.l2_hits),
-                 static_cast<unsigned long long>(c.l2_misses),
-                 static_cast<unsigned long long>(c.l3_refs),
-                 static_cast<unsigned long long>(c.l3_misses),
-                 static_cast<unsigned long long>(c.xcore_hits),
-                 static_cast<unsigned long long>(c.remote_refs),
-                 static_cast<unsigned long long>(c.writebacks),
-                 static_cast<unsigned long long>(c.mc_queue_cycles),
-                 static_cast<unsigned long long>(c.qpi_queue_cycles),
-                 static_cast<unsigned long long>(c.packets),
-                 static_cast<unsigned long long>(c.drops));
+  char sep = '[';
+  for (const auto field : kCounterFields) {
+    j += sep;
+    j += std::to_string(c.*field);
+    sep = ',';
+  }
+  j += ']';
 }
 
-bool counters_in(const std::vector<std::uint64_t>& v, sim::Counters& c) {
-  if (v.size() != kNumCounters) return false;
-  c.instructions = v[0];
-  c.cycles = v[1];
-  c.l1_hits = v[2];
-  c.l1_misses = v[3];
-  c.l2_hits = v[4];
-  c.l2_misses = v[5];
-  c.l3_refs = v[6];
-  c.l3_misses = v[7];
-  c.xcore_hits = v[8];
-  c.remote_refs = v[9];
-  c.writebacks = v[10];
-  c.mc_queue_cycles = v[11];
-  c.qpi_queue_cycles = v[12];
-  c.packets = v[13];
-  c.drops = v[14];
+/// Exactly one non-negative integer per counter field, in table order.
+bool read_counters(const api::Json* v, sim::Counters& c) {
+  if (v == nullptr || !v->is_array() || v->items().size() != kCounterFields.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < kCounterFields.size(); ++i) {
+    if (!v->items()[i].as_u64(c.*kCounterFields[i])) return false;
+  }
   return true;
 }
 
-/// Strict parser for the subset profile_cache_json emits: objects with
-/// string keys, arrays, strings without escapes, and unsigned decimal
-/// integers. Anything else is a parse failure (treated as a cache miss).
-class Parser {
- public:
-  explicit Parser(const std::string& text) : s_(text) {}
+const std::string* string_field(const api::Json& obj, const char* name) {
+  const api::Json* v = obj.find(name);
+  return v != nullptr && v->is_string() ? &v->as_string() : nullptr;
+}
 
-  [[nodiscard]] bool fail() const { return fail_; }
+bool u64_field(const api::Json& obj, const char* name, std::uint64_t& out) {
+  const api::Json* v = obj.find(name);
+  return v != nullptr && v->as_u64(out);
+}
 
-  void ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' ||
-                                s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
-  [[nodiscard]] char peek() {
-    ws();
-    if (pos_ >= s_.size()) {
-      fail_ = true;
-      return '\0';
-    }
-    return s_[pos_];
-  }
-  bool expect(char c) {
-    if (peek() != c) {
-      fail_ = true;
-      return false;
-    }
-    ++pos_;
-    return true;
-  }
-  [[nodiscard]] std::string string() {
-    std::string out;
-    if (!expect('"')) return out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') {  // not emitted by the writer; reject
-        fail_ = true;
-        return out;
-      }
-      out += s_[pos_++];
-    }
-    if (pos_ >= s_.size()) fail_ = true;
-    else ++pos_;  // closing quote
-    return out;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    ws();
-    if (pos_ >= s_.size() || s_[pos_] < '0' || s_[pos_] > '9') {
-      fail_ = true;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') {
-      const std::uint64_t d = static_cast<std::uint64_t>(s_[pos_] - '0');
-      if (v > (~std::uint64_t{0} - d) / 10) {  // would overflow: corrupt file
-        fail_ = true;
-        return 0;
-      }
-      v = v * 10 + d;
-      ++pos_;
-    }
-    return v;
-  }
-  [[nodiscard]] std::vector<std::uint64_t> u64_array() {
-    std::vector<std::uint64_t> out;
-    if (!expect('[')) return out;
-    if (peek() == ']') {
-      ++pos_;
-      return out;
-    }
-    for (;;) {
-      out.push_back(u64());
-      if (fail_) return out;
-      const char c = peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return out;
-    }
-  }
-  /// Skip any value of the emitted subset (for keys we ignore).
-  void skip_value() {
-    const char c = peek();
-    if (fail_) return;
-    if (c == '"') {
-      (void)string();
-    } else if (c >= '0' && c <= '9') {
-      (void)u64();
-    } else if (c == '[') {
-      ++pos_;
-      if (peek() == ']') {
-        ++pos_;
-        return;
-      }
-      for (;;) {
-        skip_value();
-        if (fail_) return;
-        const char d = peek();
-        if (d == ',') {
-          ++pos_;
-          continue;
-        }
-        expect(']');
-        return;
-      }
-    } else if (c == '{') {
-      ++pos_;
-      if (peek() == '}') {
-        ++pos_;
-        return;
-      }
-      for (;;) {
-        (void)string();
-        expect(':');
-        skip_value();
-        if (fail_) return;
-        const char d = peek();
-        if (d == ',') {
-          ++pos_;
-          continue;
-        }
-        expect('}');
-        return;
-      }
-    } else {
-      fail_ = true;
-    }
-  }
+bool read_element(const api::Json& e, ElementStat& st) {
+  const std::string* name = string_field(e, "name");
+  const std::string* cls = string_field(e, "class");
+  if (name == nullptr || cls == nullptr) return false;
+  st.name = *name;
+  st.cls = *cls;
+  return read_counters(e.find("counters"), st.delta);
+}
 
- private:
-  const std::string& s_;
-  std::size_t pos_ = 0;
-  bool fail_ = false;
-};
+/// One `flows` entry. Out-of-range `type` and `core` values are corrupt:
+/// narrowing them would wrap onto valid values the checksum cannot tell apart.
+bool read_flow(const api::Json& f, FlowMetrics& m) {
+  std::uint64_t type = 0;
+  std::uint64_t core = 0;
+  std::uint64_t seconds_bits = 0;
+  if (!u64_field(f, "type", type) || type > static_cast<std::uint64_t>(FlowType::kSynMax) ||
+      !u64_field(f, "core", core) ||
+      core > static_cast<std::uint64_t>(std::numeric_limits<int>::max()) ||
+      !u64_field(f, "seconds_bits", seconds_bits) ||
+      !read_counters(f.find("counters"), m.delta)) {
+    return false;
+  }
+  m.type = static_cast<FlowType>(type);
+  m.core = static_cast<int>(core);
+  m.seconds = std::bit_cast<double>(seconds_bits);
+  const api::Json* elements = f.find("elements");
+  if (elements == nullptr || !elements->is_array()) return false;
+  m.elements.resize(elements->items().size());
+  for (std::size_t i = 0; i < m.elements.size(); ++i) {
+    if (!read_element(elements->items()[i], m.elements[i])) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
 std::uint64_t result_checksum(const ScenarioResult& r) {
-  // Plain FNV-1a over the canonical bytes the parser reconstructs: anything
+  // Plain FNV-1a over the canonical bytes the reader reconstructs: anything
   // that changes a reloaded result changes the checksum. Informational-only
   // bytes (the decimal "seconds" rendering, whitespace) are deliberately
   // outside it — corruption there cannot change a result.
@@ -586,21 +486,7 @@ std::uint64_t result_checksum(const ScenarioResult& r) {
     for (const char c : s) byte(static_cast<std::uint8_t>(c));
   };
   const auto counters = [&u64](const sim::Counters& c) {
-    u64(c.instructions);
-    u64(c.cycles);
-    u64(c.l1_hits);
-    u64(c.l1_misses);
-    u64(c.l2_hits);
-    u64(c.l2_misses);
-    u64(c.l3_refs);
-    u64(c.l3_misses);
-    u64(c.xcore_hits);
-    u64(c.remote_refs);
-    u64(c.writebacks);
-    u64(c.mc_queue_cycles);
-    u64(c.qpi_queue_cycles);
-    u64(c.packets);
-    u64(c.drops);
+    for (const auto field : kCounterFields) u64(c.*field);
   };
   u64(r.size());
   for (const FlowMetrics& m : r) {
@@ -654,142 +540,35 @@ std::string profile_cache_json(const Scenario& s, const ScenarioKey& k,
   return j;
 }
 
-namespace {
-
-/// Structural parse of the envelope; checksum verification happens in
-/// parse_profile_cache once the result is reconstructed. `stale` marks the
-/// one benign failure mode: a well-formed schema field from another version.
-bool parse_cache_body(const std::string& text, const ScenarioKey& expect, ScenarioResult& out,
-                      bool& stale, std::string& checksum_text) {
-  out.clear();
-  Parser p(text);
-  if (!p.expect('{')) return false;
-  bool schema_ok = false;
-  bool key_ok = false;
-  bool flows_seen = false;
-  for (;;) {
-    const std::string field = p.string();
-    if (!p.expect(':')) return false;
-    if (field == "schema") {
-      const std::uint64_t v = p.u64();
-      schema_ok = !p.fail() && v == static_cast<std::uint64_t>(kScenarioSchemaVersion);
-      if (!schema_ok) {
-        stale = !p.fail();  // valid number, different version: miss, rewritten
-        return false;
-      }
-    } else if (field == "checksum") {
-      checksum_text = p.string();
-    } else if (field == "key") {
-      key_ok = p.string() == expect.hex();
-      if (!key_ok) return false;
-    } else if (field == "flows") {
-      flows_seen = true;
-      if (!p.expect('[')) return false;
-      if (p.peek() == ']') {
-        return false;  // a run always yields at least one flow
-      }
-      for (;;) {
-        FlowMetrics m;
-        if (!p.expect('{')) return false;
-        for (;;) {
-          const std::string f = p.string();
-          if (!p.expect(':')) return false;
-          if (f == "type") {
-            m.type = static_cast<FlowType>(p.u64());
-          } else if (f == "core") {
-            m.core = static_cast<int>(p.u64());
-          } else if (f == "seconds_bits") {
-            m.seconds = std::bit_cast<double>(p.u64());
-          } else if (f == "counters") {
-            if (!counters_in(p.u64_array(), m.delta)) return false;
-          } else if (f == "elements") {
-            if (!p.expect('[')) return false;
-            if (p.peek() == ']') {
-              p.expect(']');
-            } else {
-              for (;;) {
-                ElementStat st;
-                if (!p.expect('{')) return false;
-                for (;;) {
-                  const std::string ef = p.string();
-                  if (!p.expect(':')) return false;
-                  if (ef == "name") {
-                    st.name = p.string();
-                  } else if (ef == "class") {
-                    st.cls = p.string();
-                  } else if (ef == "counters") {
-                    if (!counters_in(p.u64_array(), st.delta)) return false;
-                  } else {
-                    p.skip_value();
-                  }
-                  if (p.fail()) return false;
-                  if (p.peek() == ',') {
-                    p.expect(',');
-                    continue;
-                  }
-                  if (!p.expect('}')) return false;
-                  break;
-                }
-                m.elements.push_back(std::move(st));
-                if (p.peek() == ',') {
-                  p.expect(',');
-                  continue;
-                }
-                if (!p.expect(']')) return false;
-                break;
-              }
-            }
-          } else {
-            p.skip_value();
-          }
-          if (p.fail()) return false;
-          if (p.peek() == ',') {
-            p.expect(',');
-            continue;
-          }
-          if (!p.expect('}')) return false;
-          break;
-        }
-        out.push_back(std::move(m));
-        if (p.peek() == ',') {
-          p.expect(',');
-          continue;
-        }
-        if (!p.expect(']')) return false;
-        break;
-      }
-    } else {
-      p.skip_value();
-    }
-    if (p.fail()) return false;
-    if (p.peek() == ',') {
-      p.expect(',');
-      continue;
-    }
-    if (!p.expect('}')) return false;
-    break;
-  }
-  return schema_ok && key_ok && flows_seen && !p.fail();
-}
-
-}  // namespace
-
 CacheParse parse_profile_cache(const std::string& text, const ScenarioKey& expect,
                                ScenarioResult& out) {
-  bool stale = false;
-  std::string checksum_text;
-  if (!parse_cache_body(text, expect, out, stale, checksum_text)) {
-    out.clear();
-    return stale ? CacheParse::kStale : CacheParse::kCorrupt;
-  }
-  // The checksum is required (schema v3) and must match the reconstructed
-  // payload: a missing field, a forged value, or a bit flip that survived
-  // the structural parse all land here.
-  if (checksum_text !=
-      strformat("%016llx", static_cast<unsigned long long>(result_checksum(out)))) {
-    out.clear();
+  out.clear();
+  const std::optional<api::Json> doc = api::Json::parse(text);
+  if (!doc.has_value() || !doc->is_object()) return CacheParse::kCorrupt;
+  // Only a complete document from another version is stale: a torn file is
+  // corrupt whatever its schema.
+  std::uint64_t schema = 0;
+  if (!u64_field(*doc, "schema", schema)) return CacheParse::kCorrupt;
+  if (schema != static_cast<std::uint64_t>(kScenarioSchemaVersion)) return CacheParse::kStale;
+  const std::string* key = string_field(*doc, "key");
+  const std::string* checksum = string_field(*doc, "checksum");
+  const api::Json* flows = doc->find("flows");
+  // A run always yields at least one flow.
+  if (key == nullptr || *key != expect.hex() || checksum == nullptr || flows == nullptr ||
+      !flows->is_array() || flows->items().empty()) {
     return CacheParse::kCorrupt;
   }
+  ScenarioResult r(flows->items().size());
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    if (!read_flow(flows->items()[i], r[i])) return CacheParse::kCorrupt;
+  }
+  // The checksum is required (schema v3) and must match the reconstructed
+  // payload: a forged value or a bit flip that survived the structural walk
+  // lands here.
+  if (*checksum != strformat("%016llx", static_cast<unsigned long long>(result_checksum(r)))) {
+    return CacheParse::kCorrupt;
+  }
+  out = std::move(r);
   return CacheParse::kOk;
 }
 

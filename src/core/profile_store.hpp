@@ -155,24 +155,22 @@ class ProfileStore {
   mutable std::atomic<bool> memory_only_{false};
 };
 
-/// Serialize / parse one result file (exposed for tests; the JSON subset is
-/// fixed: objects, arrays, strings, unsigned decimal integers).
+/// Serialize / parse one result file (exposed for tests). The file is read
+/// with api::Json::parse, the one JSON reader for spec files, ppd envelopes
+/// and cache files; the writer emits only objects, arrays, escape-free
+/// strings and unsigned decimal integers.
 [[nodiscard]] std::string profile_cache_json(const Scenario& s, const ScenarioKey& k,
                                              const ScenarioResult& r);
 
-/// Parse verdict: kOk (loaded), kStale (valid file, older schema — a plain
-/// miss, silently rewritten), kCorrupt (everything else: garbage, key
-/// mismatch, missing/stale checksum — quarantined by the store).
+/// Parse verdict: kOk (loaded), kStale (a complete, well-formed document
+/// whose `schema` is another version — a plain miss, silently rewritten),
+/// kCorrupt (everything else: garbage, a torn file whatever its schema,
+/// duplicate keys, key mismatch, out-of-range fields, missing/stale checksum
+/// — quarantined by the store). `out` is filled only on kOk.
 enum class CacheParse : std::uint8_t { kOk, kStale, kCorrupt };
 
 [[nodiscard]] CacheParse parse_profile_cache(const std::string& text, const ScenarioKey& expect,
                                              ScenarioResult& out);
-
-[[nodiscard]] inline bool parse_profile_cache_json(const std::string& text,
-                                                   const ScenarioKey& expect,
-                                                   ScenarioResult& out) {
-  return parse_profile_cache(text, expect, out) == CacheParse::kOk;
-}
 
 /// FNV-1a checksum over a result's canonical bytes (the bit patterns that
 /// determine bit-identical reload: types, cores, seconds bits, all counters,

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <iterator>
 
+#include "base/fault.hpp"
 #include "core/profile_store.hpp"
 
 namespace pp::core {
@@ -36,6 +37,11 @@ std::size_t file_count(const std::string& dir) {
     ++n;
   }
   return n;
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 std::filesystem::file_time_type mtime_of_only_file(const std::string& dir) {
@@ -144,6 +150,28 @@ TEST(ProfileStoreRo, CorruptRoEntryWarnsResimulatesAndNeverMutatesTheLayer) {
   std::ifstream in(victim);
   std::string content((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   EXPECT_EQ(content, "CORRUPT{");
+}
+
+TEST(ProfileStoreRo, InjectedRoMissSimulatesAndLeavesTheLayerAlone) {
+  const std::string shared = fresh_dir("inj_shared");
+  const Scenario s = tiny_scenario();
+  {
+    ProfileStore writer(shared);
+    (void)writer.get_or_run(s);
+  }
+  const std::string path = shared + "/" + scenario_key(s).hex() + ".json";
+  const std::string before = read_file(path);
+
+  std::string err;
+  ASSERT_TRUE(FaultInjector::global().configure("store.ro:miss@1", &err)) << err;
+  ProfileStore reader({}, shared);
+  (void)reader.get_or_run(s);
+  FaultInjector::global().reset();
+  EXPECT_EQ(reader.stats().ro_hits, 0U);
+  EXPECT_EQ(reader.stats().simulated, 1U);
+  EXPECT_EQ(reader.stats().quarantined, 0U) << "an RO load failure is a miss, not corruption";
+  EXPECT_EQ(file_count(shared), 1U);
+  EXPECT_EQ(read_file(path), before) << "the RO layer must never be written";
 }
 
 TEST(ProfileStoreRo, StatsLineAppendsNewCountersLast) {

@@ -213,15 +213,15 @@ TEST(ProfileStore, ParserRejectsMalformedInput) {
   const Scenario s = tiny_scenario();
   const ScenarioKey k = scenario_key(s);
   ScenarioResult out;
-  EXPECT_FALSE(parse_profile_cache_json("", k, out));
-  EXPECT_FALSE(parse_profile_cache_json("not json", k, out));
-  EXPECT_FALSE(parse_profile_cache_json("{\"schema\": 1}", k, out));
+  EXPECT_FALSE(parse_profile_cache("", k, out) == CacheParse::kOk);
+  EXPECT_FALSE(parse_profile_cache("not json", k, out) == CacheParse::kOk);
+  EXPECT_FALSE(parse_profile_cache("{\"schema\": 1}", k, out) == CacheParse::kOk);
   // A syntactically valid file whose key does not match is rejected too.
   const ScenarioResult r = run_scenario(s);
   ScenarioKey other = k;
   other.lo ^= 1;
-  EXPECT_FALSE(parse_profile_cache_json(profile_cache_json(s, k, r), other, out));
-  EXPECT_TRUE(parse_profile_cache_json(profile_cache_json(s, k, r), k, out));
+  EXPECT_FALSE(parse_profile_cache(profile_cache_json(s, k, r), other, out) == CacheParse::kOk);
+  EXPECT_TRUE(parse_profile_cache(profile_cache_json(s, k, r), k, out) == CacheParse::kOk);
 }
 
 TEST(ProfileStore, JsonRoundTripsThroughParser) {
@@ -229,7 +229,7 @@ TEST(ProfileStore, JsonRoundTripsThroughParser) {
   const ScenarioKey k = scenario_key(s);
   const ScenarioResult r = run_scenario(s);
   ScenarioResult parsed;
-  ASSERT_TRUE(parse_profile_cache_json(profile_cache_json(s, k, r), k, parsed));
+  ASSERT_TRUE(parse_profile_cache(profile_cache_json(s, k, r), k, parsed) == CacheParse::kOk);
   expect_identical(r, parsed);
 }
 

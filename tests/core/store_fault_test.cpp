@@ -142,6 +142,31 @@ TEST(StoreFault, ForgedChecksumQuarantines) {
   });
 }
 
+/// Replace the first `from` in the entry at `path` with `to`.
+void replace_in_file(const std::string& path, const std::string& from, const std::string& to) {
+  std::string text = read_file(path);
+  const std::size_t at = text.find(from);
+  ASSERT_NE(at, std::string::npos) << from;
+  text.replace(at, from.size(), to);
+  write_file(path, text);
+}
+
+// tiny_scenario is one MON flow (type 1) on core 0. Narrowing 257 to the
+// 8-bit FlowType gives MON again, and 2^32 to int gives core 0, so the
+// checksum over the narrowed result would match: the reader must reject the
+// out-of-range values themselves.
+TEST(StoreFault, OutOfRangeFlowTypeQuarantines) {
+  expect_quarantine_and_heal("type_range", [](const std::string& path) {
+    replace_in_file(path, "\"type\": 1,", "\"type\": 257,");
+  });
+}
+
+TEST(StoreFault, OutOfRangeCoreQuarantines) {
+  expect_quarantine_and_heal("core_range", [](const std::string& path) {
+    replace_in_file(path, "\"core\": 0,", "\"core\": 4294967296,");
+  });
+}
+
 TEST(StoreFault, StaleSchemaIsAMissNotCorruption) {
   const std::string dir = fresh_dir("stale");
   const Scenario s = tiny_scenario();
@@ -198,6 +223,19 @@ TEST(StoreFault, InjectedReadErrorQuarantinesAndHeals) {
   ProfileStore warm(dir);
   expect_identical(cold, *warm.get_or_run(s));
   EXPECT_EQ(warm.stats().quarantined, 1U);
+  EXPECT_EQ(warm.stats().simulated, 1U);
+}
+
+TEST(StoreFault, InjectedParseFailureQuarantinesAndHeals) {
+  const std::string dir = fresh_dir("inj_parse");
+  const Scenario s = tiny_scenario();
+  const ScenarioResult cold = populate(dir, s);
+
+  InjectedFault f("store.parse:fail@1");
+  ProfileStore warm(dir);
+  expect_identical(cold, *warm.get_or_run(s));
+  EXPECT_EQ(warm.stats().quarantined, 1U);
+  EXPECT_EQ(count_suffix(dir, ".bad"), 1U);
   EXPECT_EQ(warm.stats().simulated, 1U);
 }
 
