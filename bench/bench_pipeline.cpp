@@ -29,17 +29,15 @@
 #include <string>
 #include <vector>
 
-#include "base/env.hpp"
+#include "api/options.hpp"
+#include "api/session.hpp"
 #include "base/fault.hpp"
 #include "base/strings.hpp"
 #include "base/table.hpp"
 #include "click/parser.hpp"
-#include "core/parallel.hpp"
 #include "core/profile_store.hpp"
-#include "core/profiler.hpp"
 #include "core/scenario.hpp"
 #include "core/sweep.hpp"
-#include "core/testbed.hpp"
 
 namespace {
 
@@ -210,15 +208,15 @@ struct HostTotals {
 };
 
 void emit_json_to(std::FILE* f, const std::vector<ConfigRun>& runs, const HostTotals& totals,
-                  Scale scale, sim::SimFidelity fidelity, const CacheDemo& cache,
+                  const api::SessionOptions& opts, const CacheDemo& cache,
                   std::uint32_t streamed_period_max) {
   std::fprintf(f, "{\n  \"bench\": \"pipeline\",\n  \"schema_version\": %d,\n"
-                  "  \"scale\": \"%s\",\n", kJsonSchemaVersion, to_string(scale));
-  std::fprintf(f, "  \"fidelity\": \"%s\",\n", sim::to_string(fidelity));
-  if (fidelity == sim::SimFidelity::kStreamed) {
+                  "  \"scale\": \"%s\",\n", kJsonSchemaVersion, to_string(opts.scale));
+  std::fprintf(f, "  \"fidelity\": \"%s\",\n", sim::to_string(opts.fidelity));
+  if (opts.fidelity == sim::SimFidelity::kStreamed) {
     std::fprintf(f, "  \"streamed_sample_period_max\": %u,\n", streamed_period_max);
   }
-  std::fprintf(f, "  \"sweep_threads\": %d,\n", host_threads_from_env());
+  std::fprintf(f, "  \"sweep_threads\": %d,\n", opts.threads);
   std::fprintf(f, "  \"batch_size\": %d,\n  \"configurations\": [\n", kBatch);
   const auto stage = [f](const char* key, const StageResult& s, const char* tail) {
     std::fprintf(f,
@@ -278,7 +276,7 @@ void emit_json_to(std::FILE* f, const std::vector<ConfigRun>& runs, const HostTo
   std::fprintf(f, "  \"total_host_speedup\": %.2f\n}\n", totals.per_packet / totals.batched);
 }
 
-void emit_json(const std::vector<ConfigRun>& runs, Scale scale, sim::SimFidelity fidelity,
+void emit_json(const std::vector<ConfigRun>& runs, const api::SessionOptions& opts,
                const CacheDemo& cache, std::uint32_t streamed_period_max) {
   std::vector<std::string> paths = {"BENCH_pipeline.json"};
 #ifdef PP_SOURCE_DIR
@@ -294,7 +292,7 @@ void emit_json(const std::vector<ConfigRun>& runs, Scale scale, sim::SimFidelity
       std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
       continue;
     }
-    emit_json_to(f, runs, totals, scale, fidelity, cache, streamed_period_max);
+    emit_json_to(f, runs, totals, opts, cache, streamed_period_max);
     std::fclose(f);
     std::printf("wrote %s\n", path.c_str());
   }
@@ -305,8 +303,11 @@ void emit_json(const std::vector<ConfigRun>& runs, Scale scale, sim::SimFidelity
 }  // namespace
 
 int main() {
-  const Scale scale = scale_from_env();
-  const sim::SimFidelity fidelity = fidelity_from_env();
+  // The process's one configuration snapshot: scale, fidelity, threads and
+  // the streamed tier's ceiling all come from here.
+  const api::SessionOptions opts = api::SessionOptions::from_env();
+  const Scale scale = opts.scale;
+  const sim::SimFidelity fidelity = opts.fidelity;
   // The tier stack is cumulative: streamed mode also runs the sampled tier
   // so the JSON carries all three columns from one invocation.
   const bool sampled_mode = fidelity != sim::SimFidelity::kExact;
@@ -318,8 +319,8 @@ int main() {
   sampled_cfg.fidelity = sim::SimFidelity::kSampled;
   sim::MachineConfig streamed_cfg;
   streamed_cfg.fidelity = sim::SimFidelity::kStreamed;
-  streamed_cfg.sample_period_max =
-      sample_period_max_from_env(sim::SimFidelity::kStreamed, streamed_cfg.sample_period);
+  streamed_cfg.sample_period_max = api::resolve_sample_period_max(
+      sim::SimFidelity::kStreamed, streamed_cfg.sample_period, opts.sample_period_max);
   if (sampled_mode) {
     std::printf("SIM_FIDELITY=%s: every configuration also runs set-sampled "
                 "(period %u)%s; drift gate at %.1f%% pps per statistical tier.\n\n",
@@ -450,19 +451,19 @@ int main() {
   // --- Scenario engine: profile-store cold vs warm ------------------------
   CacheDemo cache;
   {
-    core::Testbed tb(scale, 1);
     core::ProfileStore store;  // in-memory: a freshly populated PROFILE_CACHE
-    core::SoloProfiler solo(tb, 1, &store);
-    core::SweepProfiler sweep(solo, 5);
+    // The session's views: SIM_FIDELITY's tier (and ceiling, budget,
+    // threads) applied explicitly, so the demo measures the selected tier.
+    const api::ViewStack views(opts, 1, store);
     const auto all_levels = core::SweepProfiler::default_levels(scale);
     const std::vector<core::SynParams> levels = {all_levels.front(), all_levels.back()};
     const auto host_t0 = std::chrono::steady_clock::now();
-    const core::SweepResult cold = sweep.sweep(core::FlowSpec::of(core::FlowType::kMon),
-                                               core::ContentionMode::kBoth, levels);
+    const core::SweepResult cold = views.sweep.sweep(
+        core::FlowSpec::of(core::FlowType::kMon), core::ContentionMode::kBoth, levels);
     const auto host_t1 = std::chrono::steady_clock::now();
     const std::uint64_t simulated_after_cold = store.stats().simulated;
-    const core::SweepResult warm = sweep.sweep(core::FlowSpec::of(core::FlowType::kMon),
-                                               core::ContentionMode::kBoth, levels);
+    const core::SweepResult warm = views.sweep.sweep(
+        core::FlowSpec::of(core::FlowType::kMon), core::ContentionMode::kBoth, levels);
     const auto host_t2 = std::chrono::steady_clock::now();
     cache.cold_host_seconds = std::chrono::duration<double>(host_t1 - host_t0).count();
     cache.warm_host_seconds = std::chrono::duration<double>(host_t2 - host_t1).count();
@@ -513,7 +514,7 @@ int main() {
         "Streamed fidelity (adaptive sampling period + payload-stream model):", t5);
   }
 
-  emit_json(runs, scale, fidelity, cache, streamed_cfg.sample_period_max);
+  emit_json(runs, opts, cache, streamed_cfg.sample_period_max);
 
   if (sampled_mode && !drift_ok) {
     std::fprintf(stderr,

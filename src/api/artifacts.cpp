@@ -116,7 +116,7 @@ void render_fig2(ViewStack& v, std::string& out) {
       }
     }
   }
-  const Runs runs = v.solo.store().get_or_run_many(jobs, v.sweep.threads());
+  const Runs runs = v.solo.store().get_or_run_many(jobs, v.solo.threads());
   const auto n = static_cast<std::size_t>(seeds);
   const std::size_t per_target = n * 6;  // solo + 5 cells
 
@@ -213,7 +213,7 @@ void render_fig5(ViewStack& v, std::string& out) {
       cells.push_back(pairwise_scenario(v.tb, target, comp, 1));
     }
   }
-  const Runs cell_runs = v.solo.store().get_or_run_many(cells, v.sweep.threads());
+  const Runs cell_runs = v.solo.store().get_or_run_many(cells, v.solo.threads());
 
   for (std::size_t t = 0; t < 5; ++t) {
     const FlowType target = kRealisticTypes[t];
@@ -367,7 +367,7 @@ void render_fig8(ViewStack& v, std::string& out) {
       }
     }
   }
-  const Runs cell_runs = v.solo.store().get_or_run_many(cells, v.sweep.threads());
+  const Runs cell_runs = v.solo.store().get_or_run_many(cells, v.solo.threads());
 
   TextTable a({"target", "5 IP", "5 MON", "5 FW", "5 RE", "5 VPN"});
   TextTable b({"target", "5 IP", "5 MON", "5 FW", "5 RE", "5 VPN"});
@@ -530,7 +530,7 @@ void render_numa(ViewStack& v, std::string& out) {
     jobs.push_back(Scenario::of(v.tb, local));
     jobs.push_back(Scenario::of(v.tb, remote));
   }
-  const Runs runs = v.solo.store().get_or_run_many(jobs, v.sweep.threads());
+  const Runs runs = v.solo.store().get_or_run_many(jobs, v.solo.threads());
 
   TextTable t({"flow", "local pps (M)", "remote pps (M)", "slowdown (%)",
                "remote refs/packet"});

@@ -140,7 +140,7 @@ SessionOptions parse_env() {
 
 SessionOptions SessionOptions::from_env() {
   // One snapshot per process: the parse (and its warnings) run exactly once,
-  // and every shim below sees the same consistent configuration.
+  // and every caller sees the same consistent configuration.
   static const SessionOptions snapshot = parse_env();
   return snapshot;
 }

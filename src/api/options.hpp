@@ -9,10 +9,11 @@
 // `SessionOptions::from_env()` performs the single audited parse: values are
 // validated, a typo like SIM_FIDELITY=streamd earns a stderr warning instead
 // of silently selecting the exact tier, and unrecognized SIM_*/PP_*/SWEEP_*/
-// REPRO_* variable names are reported once per process. The legacy helpers
-// (pp::scale_from_env, core::fidelity_from_env, core::host_threads_from_env,
-// ProfileStore::global) are thin shims over this snapshot, so the whole tree
-// sees one consistent configuration.
+// REPRO_* variable names are reported once per process. Each process takes
+// this snapshot once, at its top (ppctl, ppd, bench_pipeline, the examples),
+// and passes it down: Session -> ViewStack -> the core views. Nothing below
+// api/ reads these variables (PP_FAULTS aside, above), so the whole tree
+// sees one configuration.
 #pragma once
 
 #include <chrono>

@@ -88,9 +88,9 @@ struct ServerOptions {
   /// admission or leak a negative hint into the `overloaded` envelope.
   void normalize();
 
-  /// Session configuration (scale/fidelity/caches); the daemon's store is
-  /// chosen exactly like api::Session's (the process-global store when the
-  /// cache directories match the environment).
+  /// Session configuration (scale/fidelity/threads/caches). The Server's
+  /// top-level Session owns the daemon's one store over `cache_dir` /
+  /// `cache_dir_ro`; every request's Session borrows it.
   SessionOptions session = SessionOptions::from_env();
 };
 

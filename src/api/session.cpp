@@ -25,14 +25,12 @@ using Runs = std::vector<std::shared_ptr<const core::ScenarioResult>>;
 
 ViewStack::ViewStack(const SessionOptions& opts, int seeds, core::ProfileStore& store)
     : tb(opts.scale, 1),
-      solo(tb, seeds > 0 ? seeds : default_seeds(opts.scale), &store),
+      solo(tb, seeds > 0 ? seeds : default_seeds(opts.scale), store, opts.threads),
       sweep(solo, 5, opts.threads),
       predictor(solo, sweep),
       placement(solo, opts.threads) {
-  // The Testbed constructor already applied the environment defaults; make
-  // the explicit options authoritative (they usually coincide — from_env()
-  // is the default — so env-configured sessions stay bit-identical to the
-  // historical path).
+  // The one place a session's options reach the simulator: the Testbed
+  // starts at the exact tier with no budget or deadline.
   sim::MachineConfig& m = tb.machine_config();
   m.fidelity = opts.fidelity;
   m.sample_period_max =
@@ -44,17 +42,11 @@ ViewStack::ViewStack(const SessionOptions& opts, int seeds, core::ProfileStore& 
 // ----------------------------------------------------------------- session
 
 Session::Session(SessionOptions opts, core::ProfileStore* store) : opts_(std::move(opts)) {
-  if (store != nullptr) {
-    store_ = store;
-    return;
-  }
-  const SessionOptions env = SessionOptions::from_env();
-  if (opts_.cache_dir == env.cache_dir && opts_.cache_dir_ro == env.cache_dir_ro) {
-    store_ = &core::ProfileStore::global();
-  } else {
+  if (store == nullptr) {
     owned_store_ = std::make_unique<core::ProfileStore>(opts_.cache_dir, opts_.cache_dir_ro);
-    store_ = owned_store_.get();
+    store = owned_store_.get();
   }
+  store_ = store;
 }
 
 Result Session::run(const ExperimentSpec& spec) {

@@ -85,7 +85,9 @@ struct Result {
 
 /// The stateless view stack over one store, configured from explicit options
 /// (Session builds one per spec — construction is cheap; all measurement
-/// state lives in the store).
+/// state lives in the store). The only path by which SessionOptions reach
+/// the simulator: fidelity, period ceiling, budget and deadline go to the
+/// Testbed; `threads` to the solo, sweep and placement views.
 struct ViewStack {
   core::Testbed tb;
   core::SoloProfiler solo;
@@ -102,10 +104,10 @@ struct ViewStack {
 
 class Session {
  public:
-  /// `store` (tests mostly) overrides the store choice; otherwise the
-  /// session uses the process-global store when `opts` names the same cache
-  /// directories as the environment (so benches/examples keep sharing one
-  /// memo table per process) and a private store for custom directories.
+  /// `store` is borrowed (tests, per-request ppd sessions sharing the
+  /// server's store); without one the session owns a store over
+  /// `opts.cache_dir` / `opts.cache_dir_ro`. Each process builds one
+  /// top-level Session, so it keeps one memo table.
   explicit Session(SessionOptions opts = SessionOptions::from_env(),
                    core::ProfileStore* store = nullptr);
 

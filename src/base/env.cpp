@@ -1,14 +1,6 @@
 #include "base/env.hpp"
 
-#include "api/options.hpp"
-
 namespace pp {
-
-Scale scale_from_env() {
-  // Shim over the single audited environment parse (api/options.cpp):
-  // REPRO_SCALE is validated there, with a stderr warning on typos.
-  return api::SessionOptions::from_env().scale;
-}
 
 const char* to_string(Scale s) {
   switch (s) {

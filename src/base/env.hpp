@@ -1,6 +1,7 @@
 // Experiment scale selection.
 //
-// All benchmark binaries honor the REPRO_SCALE environment variable:
+// Three scales (api::SessionOptions::scale, set from REPRO_SCALE by the
+// audited environment parse in api/options.cpp; nothing here reads it):
 //   quick    — fast sanity pass (short measurement windows, fewer sweep
 //              points, 1 seed); for CI and iteration.
 //   standard — default; enough packets for <1% throughput noise, 3 seeds.
@@ -13,9 +14,6 @@
 namespace pp {
 
 enum class Scale : std::uint8_t { kQuick, kStandard, kFull };
-
-/// Parse REPRO_SCALE (defaults to kStandard on unset/unknown values).
-[[nodiscard]] Scale scale_from_env();
 
 /// Human-readable name.
 [[nodiscard]] const char* to_string(Scale s);

@@ -4,16 +4,7 @@
 #include <thread>
 #include <vector>
 
-#include "api/options.hpp"
-
 namespace pp::core {
-
-int host_threads_from_env() {
-  // Shim over the single audited environment parse (api/options.cpp):
-  // SWEEP_THREADS is validated there (clamped to [1, 64], hardware
-  // concurrency clamped to [1, 8] when unset).
-  return api::SessionOptions::from_env().threads;
-}
 
 void parallel_for(std::size_t n, int threads, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;

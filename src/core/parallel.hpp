@@ -14,11 +14,6 @@
 
 namespace pp::core {
 
-/// Host worker threads for parallel experiment execution: the SWEEP_THREADS
-/// environment variable when set (clamped to [1, 64]), otherwise the
-/// hardware concurrency clamped to [1, 8].
-[[nodiscard]] int host_threads_from_env();
-
 /// Run fn(0..n-1), distributing indices over up to `threads` host threads
 /// (serial when threads <= 1 or n <= 1). Blocks until every index has run.
 /// `fn` must not throw; jobs must be independent: no shared mutable state

@@ -8,12 +8,11 @@
 // every (placement, seed) run plus one solo plan per flow, whose repeated
 // keys the store collapses — fans out over the host thread pool in one
 // store request; aggregation walks fixed slots in enumeration order, so the
-// study is bit-identical at any SWEEP_THREADS.
+// study is bit-identical at any thread count.
 #pragma once
 
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/profiler.hpp"
 
 namespace pp::core {
@@ -32,14 +31,13 @@ struct PlacementStudy {
 
 class PlacementEvaluator {
  public:
-  explicit PlacementEvaluator(SoloProfiler& solo, int threads = host_threads_from_env());
+  PlacementEvaluator(SoloProfiler& solo, int threads);
 
   /// `flows` must have exactly cores-many entries (12). Placements that are
   /// equivalent up to permuting flows of the same type within a socket (and
   /// swapping the sockets) are evaluated once.
   [[nodiscard]] PlacementStudy evaluate(const std::vector<FlowSpec>& flows) const;
 
-  void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }
   [[nodiscard]] int threads() const { return threads_; }
 
  private:

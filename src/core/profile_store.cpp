@@ -10,8 +10,7 @@
 #include <optional>
 #include <sstream>
 
-#include "api/json.hpp"
-#include "api/options.hpp"
+#include "api/json.hpp"  // pplint: allow(layering) — api::Json is the one JSON reader
 #include "base/check.hpp"
 #include "base/fault.hpp"
 #include "base/status.hpp"
@@ -38,16 +37,6 @@ bool is_guard_refusal(const std::exception_ptr& err) {
 
 ProfileStore::ProfileStore(std::string cache_dir, std::string ro_dir)
     : dir_(std::move(cache_dir)), ro_dir_(std::move(ro_dir)) {}
-
-ProfileStore& ProfileStore::global() {
-  // Cache directories come from the audited environment snapshot
-  // (PROFILE_CACHE / PROFILE_CACHE_RO via api::SessionOptions::from_env).
-  static ProfileStore store = [] {
-    const api::SessionOptions opts = api::SessionOptions::from_env();
-    return ProfileStore(opts.cache_dir, opts.cache_dir_ro);
-  }();
-  return store;
-}
 
 ProfileStore::Stats ProfileStore::stats() const {
   Stats s;

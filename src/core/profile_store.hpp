@@ -7,8 +7,8 @@
 //   * in memory: concurrent get_or_run calls for the same key coalesce
 //     (single-flight: the first caller simulates, the rest block on its
 //     result), so fan-outs over parallel_for never duplicate work;
-//   * on disk (opt-in): when constructed with a cache directory (the
-//     PROFILE_CACHE environment variable for the global store), results
+//   * on disk (opt-in): when constructed with a cache directory (an
+//     api::Session's store takes SessionOptions::cache_dir), results
 //     persist as one versioned, checksummed JSON file per key and are
 //     reloaded bit-identically — doubles round-trip by bit pattern — so a
 //     repeated bench run re-simulates nothing. Files with a stale
@@ -64,20 +64,16 @@ class ProfileStore {
   static constexpr int kPersistBackoffThreshold = 3;
 
   /// `cache_dir` empty = in-memory only (the tier-1 test default).
-  /// `ro_dir` is an optional read-only secondary cache (PROFILE_CACHE_RO for
-  /// the global store): consulted after a `cache_dir` miss, before
-  /// simulating, and never written — so a result store populated elsewhere
-  /// (another build tree, a shared filesystem, eventually another machine;
-  /// content keys make that safe by construction) can be layered under a
-  /// local scratch cache.
+  /// `ro_dir` is an optional read-only secondary cache
+  /// (SessionOptions::cache_dir_ro for a session's store): consulted after
+  /// a `cache_dir` miss, before simulating, and never written — so a result
+  /// store populated elsewhere (another build tree, a shared filesystem,
+  /// eventually another machine; content keys make that safe by
+  /// construction) can be layered under a local scratch cache.
   explicit ProfileStore(std::string cache_dir = {}, std::string ro_dir = {});
 
   ProfileStore(const ProfileStore&) = delete;
   ProfileStore& operator=(const ProfileStore&) = delete;
-
-  /// Process-wide store; its cache directory comes from PROFILE_CACHE
-  /// (unset/empty = no persistence). All profiler views default to it.
-  [[nodiscard]] static ProfileStore& global();
 
   /// The result for `s`, simulating it at most once per key across all
   /// threads and (with a cache dir) across processes. The returned pointer

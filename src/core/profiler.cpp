@@ -1,7 +1,6 @@
 #include "core/profiler.hpp"
 
 #include "base/check.hpp"
-#include "core/parallel.hpp"
 
 namespace pp::core {
 
@@ -26,8 +25,8 @@ double drop_pct(const FlowMetrics& solo, const FlowMetrics& measured) {
   return s <= 0 ? 0.0 : (s - c) / s * 100.0;
 }
 
-SoloProfiler::SoloProfiler(Testbed& tb, int seeds, ProfileStore* store)
-    : tb_(tb), seeds_(seeds), store_(store != nullptr ? store : &ProfileStore::global()) {
+SoloProfiler::SoloProfiler(Testbed& tb, int seeds, ProfileStore& store, int threads)
+    : tb_(tb), seeds_(seeds), store_(store), threads_(threads < 1 ? 1 : threads) {
   PP_CHECK(seeds >= 1);
 }
 
@@ -50,7 +49,7 @@ FlowMetrics SoloProfiler::merge_plan(
 }
 
 FlowMetrics SoloProfiler::profile_spec(const FlowSpec& spec) const {
-  return merge_plan(store_->get_or_run_many(plan(spec), host_threads_from_env()));
+  return merge_plan(store_.get_or_run_many(plan(spec), threads_));
 }
 
 FlowMetrics SoloProfiler::profile(FlowType t) const { return profile_spec(FlowSpec::of(t)); }

@@ -26,9 +26,10 @@ namespace pp::core {
 
 class SoloProfiler {
  public:
-  /// `store` defaults to the process-global ProfileStore (which honors
-  /// PROFILE_CACHE); tests inject their own for isolation.
-  SoloProfiler(Testbed& tb, int seeds, ProfileStore* store = nullptr);
+  /// Profiles run-or-recall through `store`; profile_spec fans its seeds
+  /// out over up to `threads` host threads (api::ViewStack passes
+  /// SessionOptions::threads).
+  SoloProfiler(Testbed& tb, int seeds, ProfileStore& store, int threads);
 
   /// The scenarios behind profile_spec, in seed order. Callers that batch
   /// several profiles fan these into one ProfileStore::get_or_run_many.
@@ -50,13 +51,15 @@ class SoloProfiler {
   [[nodiscard]] TextTable table1() const;
 
   [[nodiscard]] int seeds() const { return seeds_; }
+  [[nodiscard]] int threads() const { return threads_; }
   [[nodiscard]] Testbed& testbed() const { return tb_; }
-  [[nodiscard]] ProfileStore& store() const { return *store_; }
+  [[nodiscard]] ProfileStore& store() const { return store_; }
 
  private:
   Testbed& tb_;
   int seeds_;
-  ProfileStore* store_;
+  ProfileStore& store_;
+  int threads_;
 };
 
 }  // namespace pp::core

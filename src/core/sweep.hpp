@@ -12,14 +12,13 @@
 // as one scenario per (target, level, seed) — plus the target's solo
 // scenarios — and the whole plan fans out over the host thread pool in a
 // single store request. Aggregation walks the slots in serial order, so the
-// output is bit-identical for any SWEEP_THREADS, and concurrent sweeps
+// output is bit-identical at any thread count, and concurrent sweeps
 // sharing one SoloProfiler/store are safe (the store single-flights
 // duplicate scenarios instead of racing a hidden cache).
 #pragma once
 
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/profiler.hpp"
 #include "core/testbed.hpp"
 
@@ -70,8 +69,9 @@ struct SweepResult {
 
 class SweepProfiler {
  public:
-  SweepProfiler(SoloProfiler& solo, int competitors = 5,
-                int threads = host_threads_from_env());
+  /// `competitors` SYN flows (1..5) co-run with the target; every sweep
+  /// fans out over up to `threads` host threads.
+  SweepProfiler(SoloProfiler& solo, int competitors, int threads);
 
   /// Ramp schedule: SYN (reads, instr) pairs from near-idle to SYN_MAX.
   /// Batches are kept short (small reads, modest instr) so competitor tasks
@@ -98,8 +98,6 @@ class SweepProfiler {
       const std::vector<FlowSpec>& targets, ContentionMode mode,
       const std::vector<SynParams>& levels) const;
 
-  /// Host-parallelism override (tests pin this to compare thread counts).
-  void set_threads(int threads) { threads_ = threads < 1 ? 1 : threads; }
   [[nodiscard]] int threads() const { return threads_; }
   [[nodiscard]] SoloProfiler& solo() const { return solo_; }
 

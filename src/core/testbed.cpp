@@ -1,22 +1,9 @@
 #include "core/testbed.hpp"
 
-#include "api/options.hpp"
 #include "base/check.hpp"
 #include "core/scenario.hpp"
 
 namespace pp::core {
-
-sim::SimFidelity fidelity_from_env() {
-  // Shim over the single audited environment parse (api/options.cpp):
-  // SIM_FIDELITY typos warn there instead of silently running exact.
-  return api::SessionOptions::from_env().fidelity;
-}
-
-std::uint32_t sample_period_max_from_env(sim::SimFidelity fidelity,
-                                         std::uint32_t sample_period) {
-  return api::resolve_sample_period_max(fidelity, sample_period,
-                                        api::SessionOptions::from_env().sample_period_max);
-}
 
 RunConfig RunConfig::simple(std::vector<FlowSpec> flows, std::uint64_t seed) {
   RunConfig cfg;
@@ -30,11 +17,7 @@ RunConfig RunConfig::simple(std::vector<FlowSpec> flows, std::uint64_t seed) {
 }
 
 Testbed::Testbed(Scale scale, std::uint64_t seed)
-    : scale_(scale), seed_(seed), sizes_(WorkloadSizes::for_scale(scale)) {
-  mcfg_.fidelity = fidelity_from_env();
-  mcfg_.sample_period_max = sample_period_max_from_env(mcfg_.fidelity, mcfg_.sample_period);
-  set_run_budget_ms(api::SessionOptions::from_env().run_budget_ms);
-}
+    : scale_(scale), seed_(seed), sizes_(WorkloadSizes::for_scale(scale)) {}
 
 double Testbed::default_warmup_ms() const {
   switch (scale_) {

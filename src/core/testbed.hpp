@@ -17,20 +17,6 @@
 
 namespace pp::core {
 
-/// Simulation fidelity requested via the SIM_FIDELITY environment variable
-/// ("sampled" selects sim::SimFidelity::kSampled, "streamed" the
-/// payload-streaming tier sim::SimFidelity::kStreamed; anything else,
-/// including unset, is the exact default). The Testbed applies this to its
-/// machine config so every bench/driver honors it without plumbing.
-[[nodiscard]] sim::SimFidelity fidelity_from_env();
-
-/// Adaptive sampling-period ceiling (MachineConfig::sample_period_max) from
-/// the SIM_SAMPLE_PERIOD_MAX environment variable. Defaults: the base
-/// period (widening off) for exact/sampled fidelity, 16 for the streamed
-/// tier. Invalid values are ignored.
-[[nodiscard]] std::uint32_t sample_period_max_from_env(sim::SimFidelity fidelity,
-                                                       std::uint32_t sample_period);
-
 /// Where a flow runs and where its data lives. data_domain = -1 means
 /// NUMA-local (the paper's normal rule, Section 2.2); the Figure 3
 /// configurations override it to expose individual resources.
@@ -110,9 +96,12 @@ struct FlowHandle {
   click::Router* router = nullptr;
 };
 
+/// Reads nothing from the environment: the machine config starts at its
+/// exact-tier defaults and the run budget at 0. api::ViewStack applies a
+/// session's SessionOptions (fidelity, period ceiling, budget, deadline).
 class Testbed {
  public:
-  explicit Testbed(Scale scale = scale_from_env(), std::uint64_t seed = 1);
+  explicit Testbed(Scale scale, std::uint64_t seed = 1);
 
   [[nodiscard]] const WorkloadSizes& sizes() const { return sizes_; }
   [[nodiscard]] WorkloadSizes& sizes() { return sizes_; }
@@ -126,9 +115,7 @@ class Testbed {
   [[nodiscard]] RunConfig configure(std::vector<FlowSpec> flows, std::uint64_t seed = 1) const;
 
   /// Per-run budget stamped onto every configure()d RunConfig (0 =
-  /// unlimited). Initialized from the audited environment snapshot
-  /// (PP_RUN_BUDGET); ViewStack makes the session's explicit options
-  /// authoritative, mirroring the fidelity knobs.
+  /// unlimited, the default; ViewStack sets SessionOptions::run_budget_ms).
   [[nodiscard]] double run_budget_ms() const { return run_budget_ms_; }
   void set_run_budget_ms(double ms) { run_budget_ms_ = ms > 0 ? ms : 0; }
 

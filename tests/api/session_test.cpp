@@ -15,8 +15,7 @@ using core::FlowSpec;
 using core::FlowType;
 
 /// Session options pinned for test isolation: quick scale, exact fidelity,
-/// no cache directories (so the ctor still needs an injected store to avoid
-/// the process-global one when the environment sets PROFILE_CACHE).
+/// no cache directories (tests still inject a store to read its stats).
 SessionOptions test_options(int threads = 1) {
   return SessionOptions{}.with_scale(Scale::kQuick).with_threads(threads);
 }
@@ -232,6 +231,18 @@ TEST(Session, CorunRepeatedFlowSpecSharesOneSoloPlan) {
     EXPECT_EQ(store.stats().simulated, ref_store.stats().simulated) << what;
     EXPECT_EQ(store.stats().simulated, 1U + 2U) << what;
     EXPECT_EQ(store.stats().coalesced, ref_store.stats().coalesced) << what;
+  }
+}
+
+TEST(ViewStack, EveryViewRunsOnTheSessionsThreadCount) {
+  // SessionOptions::threads is the only source of host parallelism: each
+  // view that fans out reports exactly the session's count.
+  core::ProfileStore store;
+  for (const int threads : {1, 3}) {
+    ViewStack v(test_options(threads), 0, store);
+    EXPECT_EQ(v.solo.threads(), threads);
+    EXPECT_EQ(v.sweep.threads(), threads);
+    EXPECT_EQ(v.placement.threads(), threads);
   }
 }
 

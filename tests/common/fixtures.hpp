@@ -1,16 +1,18 @@
 // Shared scenario/machine-config fixture factory for the test tree.
 //
 // Nearly every core/sim integration test wants the same setup: a quick-scale
-// testbed with an explicitly pinned fidelity (never inherited from the
-// SIM_FIDELITY environment, so a developer running `SIM_FIDELITY=sampled
-// ctest` cannot silently change what a test asserts), short measurement
-// windows, a profiler stack over an isolated ProfileStore, and bitwise
-// counter comparisons. Centralizing them keeps the fidelity-tier matrix in
+// testbed with an explicitly pinned fidelity (a Testbed reads nothing from
+// the environment, so `SIM_FIDELITY=sampled ctest` cannot change what a
+// test asserts), short measurement windows, a profiler stack over an
+// isolated ProfileStore, and bitwise counter comparisons. Centralizing them keeps the fidelity-tier matrix in
 // one place: a test names the tier it runs, not the five knobs behind it.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "api/options.hpp"
 #include "core/profile_store.hpp"
 #include "core/profiler.hpp"
 #include "core/sweep.hpp"
@@ -20,8 +22,7 @@
 namespace pp::test {
 
 /// A quick-scale machine config pinned to one fidelity tier. `period_max` 0
-/// keeps the config's default (== sample_period: adaptive widening off);
-/// kStreamed callers usually pass 16, mirroring the Testbed env default.
+/// keeps the config's default (== sample_period: adaptive widening off).
 inline sim::MachineConfig machine_config(sim::SimFidelity f,
                                          std::uint32_t sample_period = 8,
                                          std::uint32_t period_max = 0,
@@ -41,20 +42,23 @@ inline sim::MachineConfig sampled_machine(std::uint64_t sample_seed = 0,
   return machine_config(sim::SimFidelity::kSampled, sample_period, 0, sample_seed);
 }
 
-/// Quick-scale testbed pinned to `f` (default exact), ignoring SIM_FIDELITY.
+/// Quick-scale testbed pinned to `f` (default exact). `period_max` 0 = the
+/// tier's default ceiling, resolved exactly as a session resolves it.
 inline core::Testbed quick_testbed(sim::SimFidelity f = sim::SimFidelity::kExact,
                                    std::uint64_t seed = 1,
                                    std::uint32_t period_max = 0) {
   core::Testbed tb(Scale::kQuick, seed);
-  tb.machine_config().fidelity = f;
-  tb.machine_config().sample_period_max =
-      period_max != 0 ? period_max : tb.machine_config().sample_period;
-  if (f == sim::SimFidelity::kStreamed && period_max == 0) {
-    // Mirror the Testbed's own env default for the streamed tier.
-    tb.machine_config().sample_period_max = 16;
-  }
+  sim::MachineConfig& m = tb.machine_config();
+  m.fidelity = f;
+  m.sample_period_max = period_max != 0
+                            ? period_max
+                            : api::resolve_sample_period_max(f, m.sample_period, std::nullopt);
   return tb;
 }
+
+/// Host threads for the test views: at least two, so every fan-out a test
+/// drives runs concurrently (and under TSan, instrumented).
+inline constexpr int kTestThreads = 2;
 
 /// Short-window run config: integration tests that only need coherence (not
 /// statistical stability) keep their simulated windows tiny.
@@ -67,7 +71,7 @@ inline core::RunConfig fast_run(std::vector<core::FlowSpec> flows, std::uint64_t
 }
 
 /// The full profiling/prediction stack over an isolated in-memory store (no
-/// cross-test sharing through the process-global store, no PROFILE_CACHE).
+/// cross-test sharing, no PROFILE_CACHE), fanning out over kTestThreads.
 struct ProfilerRig {
   core::Testbed tb;
   core::ProfileStore store;
@@ -77,8 +81,8 @@ struct ProfilerRig {
   explicit ProfilerRig(sim::SimFidelity f = sim::SimFidelity::kExact, int seeds = 1,
                        int competitors = 5, std::uint64_t seed = 1,
                        std::uint32_t period_max = 0)
-      : tb(quick_testbed(f, seed, period_max)), solo(tb, seeds, &store),
-        sweep(solo, competitors) {}
+      : tb(quick_testbed(f, seed, period_max)), solo(tb, seeds, store, kTestThreads),
+        sweep(solo, competitors, kTestThreads) {}
 };
 
 /// Bitwise equality of two counter sets (the repeatability lock: equal

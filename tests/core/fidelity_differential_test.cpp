@@ -73,9 +73,10 @@ std::vector<Scenario> scenario_matrix() {
 
 Scenario at_tier(Scenario s, sim::SimFidelity f) {
   s.machine.fidelity = f;
-  // The streamed tier runs with its default adaptive ceiling (16), exactly
-  // as SIM_FIDELITY=streamed configures a Testbed.
-  s.machine.sample_period_max = f == sim::SimFidelity::kStreamed ? 16 : 8;
+  // Each tier runs with its default adaptive ceiling, exactly as a session
+  // at that fidelity configures its Testbed.
+  s.machine.sample_period_max =
+      api::resolve_sample_period_max(f, s.machine.sample_period, std::nullopt);
   return s;
 }
 

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/options.hpp"
 #include "core/parallel.hpp"
 #include "core/sweep.hpp"
 
@@ -32,7 +33,7 @@ TEST(ParallelFor, HandlesEdgeCases) {
   EXPECT_EQ(ran, 1);  // threads are clamped to the job count
 }
 
-TEST(ParallelFor, EnvThreadsIsPositive) { EXPECT_GE(host_threads_from_env(), 1); }
+TEST(ParallelFor, EnvThreadsIsPositive) { EXPECT_GE(api::SessionOptions::from_env().threads, 1); }
 
 // The acceptance property of the parallel sweep engine: results are
 // bit-identical across host thread counts (each (level, seed) run is an
@@ -44,15 +45,13 @@ TEST(ParallelSweep, ThreadCountInvariance) {
   // Isolated stores so the parallel pass genuinely re-simulates instead of
   // reading the serial pass's memoized results.
   ProfileStore store_a;
-  SoloProfiler solo_a(tb, 1, &store_a);
-  SweepProfiler serial(solo_a, 3);
-  serial.set_threads(1);
+  SoloProfiler solo_a(tb, 1, store_a, 1);
+  SweepProfiler serial(solo_a, 3, 1);
   const SweepResult a = serial.sweep(FlowSpec::of(FlowType::kIp), ContentionMode::kBoth, levels);
 
   ProfileStore store_b;
-  SoloProfiler solo_b(tb, 1, &store_b);
-  SweepProfiler parallel4(solo_b, 3);
-  parallel4.set_threads(4);
+  SoloProfiler solo_b(tb, 1, store_b, 4);
+  SweepProfiler parallel4(solo_b, 3, 4);
   const SweepResult b =
       parallel4.sweep(FlowSpec::of(FlowType::kIp), ContentionMode::kBoth, levels);
 
@@ -73,24 +72,22 @@ TEST(ParallelSweep, ThreadCountInvariance) {
 // sharing one SoloProfiler raced its hidden std::map cache when they
 // overlapped. The views are stateless now and the shared ProfileStore
 // single-flights duplicate scenarios, so two concurrent sweeps — each
-// itself fanned out over SWEEP_THREADS > 1 — must reproduce the serial
+// itself fanned out over more than one thread — must reproduce the serial
 // result bit-identically and simulate every scenario exactly once.
 TEST(ParallelSweep, ConcurrentSweepsSharingOneSoloProfilerAreSafe) {
   const std::vector<SynParams> levels = {{1, 2000, 12}, {32, 0, 12}};
   Testbed tb(Scale::kQuick, 1);
 
   ProfileStore serial_store;
-  SoloProfiler serial_solo(tb, 1, &serial_store);
-  SweepProfiler serial(serial_solo, 3);
-  serial.set_threads(1);
+  SoloProfiler serial_solo(tb, 1, serial_store, 1);
+  SweepProfiler serial(serial_solo, 3, 1);
   const SweepResult ref =
       serial.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
   const std::uint64_t serial_simulated = serial_store.stats().simulated;
 
   ProfileStore store;
-  SoloProfiler solo(tb, 1, &store);
-  SweepProfiler shared(solo, 3);
-  shared.set_threads(2);  // SWEEP_THREADS > 1 inside each sweep
+  SoloProfiler solo(tb, 1, store, 2);
+  SweepProfiler shared(solo, 3, 2);  // > 1 thread inside each sweep
   SweepResult a;
   SweepResult b;
   std::thread t1([&] {
@@ -126,15 +123,13 @@ TEST(ParallelSweep, ThreadCountInvarianceSampled) {
   Testbed tb(Scale::kQuick, 1);
   tb.machine_config().fidelity = sim::SimFidelity::kSampled;
   ProfileStore store_a;
-  SoloProfiler solo_a(tb, 1, &store_a);
-  SweepProfiler serial(solo_a, 2);
-  serial.set_threads(1);
+  SoloProfiler solo_a(tb, 1, store_a, 1);
+  SweepProfiler serial(solo_a, 2, 1);
   const SweepResult a = serial.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
 
   ProfileStore store_b;
-  SoloProfiler solo_b(tb, 1, &store_b);
-  SweepProfiler parallel3(solo_b, 2);
-  parallel3.set_threads(3);
+  SoloProfiler solo_b(tb, 1, store_b, 3);
+  SweepProfiler parallel3(solo_b, 2, 3);
   const SweepResult b =
       parallel3.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fixtures.hpp"
+
 namespace pp::core {
 namespace {
 
@@ -12,9 +14,18 @@ std::vector<FlowSpec> combo(FlowType a, FlowType b) {
   return flows;
 }
 
+/// One store for the whole suite, so the cases share their solo runs.
+ProfileStore& suite_store() {
+  static ProfileStore store;
+  return store;
+}
+
 class PlacementTest : public ::testing::Test {
  protected:
-  PlacementTest() : tb_(Scale::kQuick, 1), solo_(tb_, 1), eval_(solo_) {}
+  PlacementTest()
+      : tb_(Scale::kQuick, 1),
+        solo_(tb_, 1, suite_store(), pp::test::kTestThreads),
+        eval_(solo_, pp::test::kTestThreads) {}
 
   Testbed tb_;
   SoloProfiler solo_;

@@ -19,9 +19,10 @@ Testbed sampled_testbed() { return pp::test::quick_testbed(sim::SimFidelity::kSa
 TEST(SampledFidelity, DefaultIsExact) {
   sim::MachineConfig cfg;
   EXPECT_EQ(cfg.fidelity, sim::SimFidelity::kExact);
-  // Without SIM_FIDELITY in the environment the testbed stays exact too.
+  // A Testbed reads nothing from the environment: exact, whatever
+  // SIM_FIDELITY says.
   Testbed tb(Scale::kQuick, 1);
-  EXPECT_EQ(tb.machine_config().fidelity, fidelity_from_env());
+  EXPECT_EQ(tb.machine_config().fidelity, sim::SimFidelity::kExact);
 }
 
 TEST(SampledFidelity, SoloRunIsDeterministicUnderFixedSeed) {

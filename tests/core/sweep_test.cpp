@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fixtures.hpp"
+
 namespace pp::core {
 namespace {
 
@@ -66,8 +68,9 @@ TEST(ContentionMode, Names) {
 // should cover a widening refs/sec range. Uses minimal windows to stay fast.
 TEST(SweepProfiler, DropGrowsWithCompetition) {
   Testbed tb(Scale::kQuick, 1);
-  SoloProfiler solo(tb, 1);
-  SweepProfiler sweep(solo, 5);
+  ProfileStore store;
+  SoloProfiler solo(tb, 1, store, pp::test::kTestThreads);
+  SweepProfiler sweep(solo, 5, pp::test::kTestThreads);
   const std::vector<SynParams> levels = {{1, 4000, 12}, {32, 0, 12}};
   const SweepResult r = sweep.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
   ASSERT_EQ(r.levels.size(), 2U);
@@ -79,8 +82,9 @@ TEST(SweepProfiler, DropGrowsWithCompetition) {
 
 TEST(SweepProfiler, CacheOnlyPlacementKeepsCompetitorDataRemote) {
   Testbed tb(Scale::kQuick, 1);
-  SoloProfiler solo(tb, 1);
-  SweepProfiler sweep(solo, 2);
+  ProfileStore store;
+  SoloProfiler solo(tb, 1, store, pp::test::kTestThreads);
+  SweepProfiler sweep(solo, 2, pp::test::kTestThreads);
   const SweepResult r =
       sweep.sweep(FlowSpec::of(FlowType::kFw), ContentionMode::kCacheOnly, {{8, 100, 12}});
   ASSERT_EQ(r.levels.size(), 1U);

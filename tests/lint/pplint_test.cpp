@@ -55,6 +55,26 @@ TEST(PplintRules, GetenvAllowedOnlyInOptionsCpp) {
       << "the rule scopes to src/**";
 }
 
+TEST(PplintRules, LayeringFixtureTripsBelowApiOnly) {
+  const std::string text = fixture("layering_violation.snippet");
+  const auto diags = lint_text("src/core/example.cpp", text, real_sites());
+  ASSERT_EQ(diags.size(), 1u) << "the api/options.hpp include, not the comment";
+  EXPECT_EQ(diags[0].rule, "layering");
+  EXPECT_EQ(diags[0].line, 6);
+  for (const char* lower : {"src/base/x.cpp", "src/sim/x.hpp", "src/model/x.cpp",
+                            "src/click/x.cpp", "src/apps/x.cpp", "src/net/x.cpp"}) {
+    EXPECT_EQ(rules_of(lint_text(lower, text, real_sites())).count("layering"), 1u) << lower;
+  }
+  EXPECT_TRUE(lint_text("src/api/example.cpp", text, real_sites()).empty())
+      << "api/ may include itself";
+  EXPECT_TRUE(lint_text("tools/example.cpp", text, real_sites()).empty())
+      << "the rule scopes to the layers below api/";
+
+  const std::string allowed =
+      "#include \"api/json.hpp\"  // pplint: allow(layering) — test exception\n";
+  EXPECT_TRUE(lint_text("src/core/example.cpp", allowed, real_sites()).empty());
+}
+
 TEST(PplintRules, NondeterminismFixtureTripsPerSource) {
   const auto diags = lint_text("src/sim/example.cpp", fixture("nondet_violation.snippet"),
                                real_sites());

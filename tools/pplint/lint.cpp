@@ -151,6 +151,13 @@ struct Pattern {
          starts_with(file, "src/model/");
 }
 
+[[nodiscard]] bool below_api(const std::string& file) {
+  static const char* kLayers[] = {"src/base/", "src/sim/", "src/model/", "src/click/",
+                                  "src/apps/", "src/net/", "src/core/"};
+  return std::any_of(std::begin(kLayers), std::end(kLayers),
+                     [&](const char* dir) { return starts_with(file, dir); });
+}
+
 [[nodiscard]] bool in_isolation_paths(const std::string& file) {
   static const char* kFiles[] = {
       "src/api/session.cpp", "src/api/session.hpp", "src/api/serve.cpp", "src/api/serve.hpp",
@@ -198,6 +205,28 @@ std::vector<Diagnostic> check_getenv(const std::string& file, const std::string&
        "route the knob through the audited parse"},
   };
   return scan(file, text, "getenv", kPatterns);
+}
+
+std::vector<Diagnostic> check_layering(const std::string& file, const std::string& text) {
+  if (!below_api(file)) return {};
+  std::vector<Diagnostic> out;
+  // Comments blanked, literals kept: the include path IS a literal.
+  const std::vector<std::string> lines = to_lines(strip_comments(text, /*strip_strings=*/false));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    const std::size_t hash = line.find_first_not_of(" \t");
+    if (hash == std::string::npos || line[hash] != '#') continue;
+    const std::size_t word = line.find_first_not_of(" \t", hash + 1);
+    if (word == std::string::npos || line.compare(word, 7, "include") != 0) continue;
+    if (line.find("\"api/", word) == std::string::npos &&
+        line.find("<api/", word) == std::string::npos) {
+      continue;
+    }
+    out.push_back({file, static_cast<int>(i) + 1, "layering",
+                   "api/ header included below the api layer — pass the value down "
+                   "from SessionOptions / api::ViewStack instead"});
+  }
+  return out;
 }
 
 std::vector<Diagnostic> check_nondeterminism(const std::string& file, const std::string& text) {
@@ -281,6 +310,7 @@ std::vector<Diagnostic> lint_text(const std::string& file, const std::string& te
                                   const std::unordered_set<std::string>& known_sites) {
   std::vector<Diagnostic> all;
   for (auto&& d : check_getenv(file, text)) all.push_back(std::move(d));
+  for (auto&& d : check_layering(file, text)) all.push_back(std::move(d));
   for (auto&& d : check_nondeterminism(file, text)) all.push_back(std::move(d));
   for (auto&& d : check_noabort(file, text)) all.push_back(std::move(d));
   for (auto&& d : check_fault_sites(file, text, known_sites)) all.push_back(std::move(d));

@@ -3,7 +3,7 @@
 // The platform's determinism contracts are conventions a compiler cannot
 // check: every environment read goes through SessionOptions::from_env, the
 // simulation layers never touch a wall clock or a PRNG the scenario seed
-// does not control, the serve/session error-isolation paths never abort,
+// does not control, the layers below api/ never include an api/ header, the serve/session error-isolation paths never abort,
 // every fault-injection literal names a registered site, and every public
 // header compiles standalone. pplint turns each convention into a scan with
 // file:line diagnostics, run as a CTest (lint_pplint_tree) and a CI job.
@@ -46,6 +46,13 @@ struct Diagnostic {
 /// snapshots diverge. Scope: src/**.
 [[nodiscard]] std::vector<Diagnostic> check_getenv(const std::string& file,
                                                    const std::string& text);
+
+/// Rule "layering": an #include of an api/ header from a layer below it
+/// (configuration flows down through api::ViewStack; a lower layer that
+/// reaches up grows a second path). Scope: src/{base,sim,model,click,apps,
+/// net,core}/**.
+[[nodiscard]] std::vector<Diagnostic> check_layering(const std::string& file,
+                                                     const std::string& text);
 
 /// Rule "nondeterminism": rand()/srand(), std::random_device, time(nullptr),
 /// and wall-clock reads (steady_clock::now and friends, gettimeofday,

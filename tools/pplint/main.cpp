@@ -51,6 +51,6 @@ int main(int argc, char** argv) {
     std::printf("%s\n", pp::lint::format(d).c_str());
   }
   std::fprintf(stderr, "pplint: %zu file-scope rule(s), %zu violation(s)\n",
-               static_cast<std::size_t>(5), diags.size());
+               static_cast<std::size_t>(6), diags.size());
   return diags.empty() ? 0 : 1;
 }
