@@ -10,7 +10,7 @@
 // validated, a typo like SIM_FIDELITY=streamd earns a stderr warning instead
 // of silently selecting the exact tier, and unrecognized SIM_*/PP_*/SWEEP_*/
 // REPRO_* variable names are reported once per process. Each process takes
-// this snapshot once, at its top (ppctl, ppd, bench_pipeline, the examples),
+// this snapshot once, at its top (ppctl, ppd, the examples),
 // and passes it down: Session -> ViewStack -> the core views. Nothing below
 // api/ reads these variables (PP_FAULTS aside, above), so the whole tree
 // sees one configuration.

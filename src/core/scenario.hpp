@@ -98,8 +98,10 @@ using ScenarioResult = std::vector<FlowMetrics>;
 /// Run a scenario on a fresh machine. Pure: no global state is read or
 /// written, so concurrent calls from host threads are safe and results are
 /// bit-identical for equal scenarios. A run that mutates its machine
-/// mid-run (the Section 4 governor loop in api/artifacts.cpp) is not a
-/// Scenario: it drives its own Machine, uncached, after check_run_guards.
+/// mid-run (the Section 4 governor loop in api/artifacts.cpp), or spans one
+/// router over several cores (the Section 2.2 pipelining runs there), is
+/// not a Scenario: it drives its own Machine, uncached, after
+/// check_run_guards.
 [[nodiscard]] ScenarioResult run_scenario(const Scenario& s);
 
 /// The execution guards run_scenario applies before any work, for a run of

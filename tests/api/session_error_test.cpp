@@ -89,9 +89,9 @@ TEST(SessionError, Table1ArtifactMatchesTheGoldenBytes) {
 }
 
 TEST(SessionError, AblationArtifactsHonorAnExpiredDeadline) {
-  // numa runs through the store; throttle drives its own machine, so it
-  // must apply the same guards itself.
-  for (const char* name : {"numa", "throttle"}) {
+  // numa runs through the store; pipeline and throttle drive their own
+  // machines, so they must apply the same guards themselves.
+  for (const char* name : {"numa", "pipeline", "throttle"}) {
     core::ProfileStore store;
     SessionOptions opts = test_options();
     opts.wall_deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
@@ -108,7 +108,7 @@ TEST(SessionError, AblationArtifactsHonorAnExpiredDeadline) {
 }
 
 TEST(SessionError, AblationArtifactsHonorTheRunBudget) {
-  for (const char* name : {"numa", "throttle"}) {
+  for (const char* name : {"numa", "pipeline", "throttle"}) {
     core::ProfileStore store;
     SessionOptions opts = test_options();
     opts.run_budget_ms = 1;

@@ -170,10 +170,10 @@ TEST(ExperimentSpec, UnknownArtifactErrorListsEveryArtifact) {
       ExperimentSpec::parse(R"({"version": 1, "kind": "solo", "artifact": "fig9000"})", &err)
           .has_value());
   EXPECT_NE(err.find("(known: table1, fig2, fig4, fig5, fig6, fig7, fig8, fig9, fig10, numa, "
-                     "throttle)"),
+                     "pipeline, throttle)"),
             std::string::npos)
       << err;
-  ASSERT_EQ(artifacts().size(), 11U);
+  ASSERT_EQ(artifacts().size(), 12U);
   for (const Artifact& a : artifacts()) {
     EXPECT_NE(err.find(a.name), std::string::npos) << a.name;
     std::string why;

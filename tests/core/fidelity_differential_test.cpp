@@ -9,7 +9,8 @@
 //
 // The scenarios deliberately use short measurement windows: these are drift
 // *gates*, so the bounds below include the short-window noise floor
-// (measured headroom ~2x; the 6 ms bench_pipeline windows sit well inside).
+// (measured headroom ~2x; the 6 ms windows of the pipelining drift gate,
+// tests/api/pipeline_drift_test.cpp, sit well inside).
 // Any future speed lever that biases a statistical tier trips them.
 #include <gtest/gtest.h>
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The artifact byte lock for the cheap paper artifacts (table1, fig6, fig7,
-# numa, throttle):
+# numa, pipeline, throttle):
 #
 #   1. `ppctl run examples/specs/<name>.json` prints exactly
 #      tests/golden/artifacts/<name>.quick.txt, at --threads 1 and 4;
@@ -8,7 +8,7 @@
 #   3. through a ppd daemon the same specs — sent concurrently — reply with
 #      the same bytes, and `--format json` leaves artifact bytes unchanged.
 #
-# CI runs the same comparison for all eleven artifacts.
+# CI runs the same comparison for all twelve artifacts.
 #
 # usage: artifact_golden_test.sh <ppd-binary> <ppctl-binary> <repo-root>
 set -u
@@ -16,7 +16,7 @@ set -u
 PPD=$1
 PPCTL=$2
 ROOT=$3
-NAMES="table1 fig6 fig7 numa throttle"
+NAMES="table1 fig6 fig7 numa pipeline throttle"
 
 TMP=$(mktemp -d)
 DPID=""

@@ -7,9 +7,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "base/fault.hpp"
 #include "base/strings.hpp"
+#include "core/parallel.hpp"
 
 namespace pp::lint {
 
@@ -346,11 +348,9 @@ std::vector<Diagnostic> lint_text(const std::string& file, const std::string& te
 
 std::vector<Diagnostic> check_header_standalone(const std::string& header,
                                                 const std::vector<std::string>& include_dirs,
-                                                const std::string& compiler) {
-  static int counter = 0;
+                                                const std::string& compiler, std::size_t slot) {
   const std::string tu = (fs::temp_directory_path() /
-                          strformat("pplint_hdr_%d_%d.cpp", static_cast<int>(::getpid()),
-                                    counter++))
+                          strformat("pplint_hdr_%d_%zu.cpp", static_cast<int>(::getpid()), slot))
                              .string();
   {
     std::ofstream out(tu, std::ios::trunc);
@@ -395,16 +395,33 @@ std::vector<Diagnostic> lint_tree(const Options& opt) {
   };
   std::vector<std::string> files;
   collect("src", files);
-  collect("bench", files);
   collect("tools", files);
   std::sort(files.begin(), files.end());
 
   // src/ headers include each other as "dir/name.hpp" relative to src/;
-  // bench/tools headers resolve against the repo root and src/.
+  // tools headers resolve against the repo root and src/.
   const std::vector<std::string> include_dirs = {(root / "src").string(), root.string()};
 
+  // The standalone compiles dominate the scan, so they run concurrently,
+  // each into its file's slot; diagnostics are emitted in file order below.
+  std::vector<std::vector<Diagnostic>> header_diags(files.size());
+  if (opt.check_headers) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    const int workers = hw == 0 ? 1 : static_cast<int>(std::min(hw, 8U));
+    core::parallel_for(files.size(), workers, [&](std::size_t i) {
+      const std::string& file = files[i];
+      if (file.size() <= 4 || file.compare(file.size() - 4, 4, ".hpp") != 0) return;
+      const std::string rel = starts_with(file, "src/")
+                                  ? file.substr(std::string("src/").size())
+                                  : file;
+      header_diags[i] = check_header_standalone(rel, include_dirs, opt.compiler, i);
+      for (Diagnostic& d : header_diags[i]) d.file = file;
+    });
+  }
+
   std::vector<Diagnostic> out;
-  for (const std::string& file : files) {
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    const std::string& file = files[i];
     std::ifstream in(root / file);
     std::ostringstream buf;
     buf << in.rdbuf();
@@ -414,15 +431,7 @@ std::vector<Diagnostic> lint_tree(const Options& opt) {
     if (!starts_with(file, "tools/pplint/")) {
       for (auto&& d : lint_text(file, buf.str(), sites)) out.push_back(std::move(d));
     }
-    if (opt.check_headers && file.size() > 4 && file.compare(file.size() - 4, 4, ".hpp") == 0) {
-      const std::string rel = starts_with(file, "src/")
-                                  ? file.substr(std::string("src/").size())
-                                  : file;
-      for (auto&& d : check_header_standalone(rel, include_dirs, opt.compiler)) {
-        d.file = file;
-        out.push_back(std::move(d));
-      }
-    }
+    for (Diagnostic& d : header_diags[i]) out.push_back(std::move(d));
   }
   return out;
 }

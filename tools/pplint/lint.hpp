@@ -17,6 +17,7 @@
 // suppressions cannot rot silently.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -99,14 +100,16 @@ struct Options {
 /// compile standalone: `<compiler> -std=c++20 -fsyntax-only` over a TU that
 /// includes only it, with `include_dirs` on the include path. Returns
 /// diagnostics naming the header (first compiler error attached) — empty
-/// means self-contained.
+/// means self-contained. `slot` names the temporary TU; concurrent callers
+/// in one process pass distinct slots.
 [[nodiscard]] std::vector<Diagnostic> check_header_standalone(
     const std::string& header, const std::vector<std::string>& include_dirs,
-    const std::string& compiler);
+    const std::string& compiler, std::size_t slot = 0);
 
 /// The full tree scan: every src/**/*.{hpp,cpp} through the text rules, plus
-/// (opt.check_headers) every header under src/**, bench/, and tools/**
-/// through the standalone rule. Deterministic order (sorted paths).
+/// (opt.check_headers) every header under src/** and tools/** through the
+/// standalone rule, compiled over up to min(hardware threads, 8) workers.
+/// Deterministic order (sorted paths).
 [[nodiscard]] std::vector<Diagnostic> lint_tree(const Options& opt);
 
 }  // namespace pp::lint

@@ -2,7 +2,7 @@
 # clang-tidy gate runner (docs/static_analysis.md).
 #
 # Runs the curated .clang-tidy check set over every first-party translation
-# unit in the compile database (src/, tools/, bench/ — tests are covered by
+# unit in the compile database (src/ and tools/ — tests are covered by
 # their own suites and by pplint). WarningsAsErrors:'*' in .clang-tidy makes
 # any finding fatal, so this script is a pass/fail gate.
 #
@@ -33,7 +33,7 @@ fi
 # First-party TUs only: the compile database also carries GTest etc. when
 # vendored, and tests/ tune their assertions to gcc; the gate's surface is
 # the shipped library, binaries, and tools.
-files=$(cd "$root" && find src tools bench -name '*.cpp' 2>/dev/null | sort)
+files=$(cd "$root" && find src tools -name '*.cpp' 2>/dev/null | sort)
 if [ -z "$files" ]; then
   echo "run_clang_tidy: no sources found under $root" >&2
   exit 2
