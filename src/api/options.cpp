@@ -6,6 +6,8 @@
 #include <string_view>
 #include <thread>
 
+#include "api/spec.hpp"
+
 extern char** environ;
 
 namespace pp::api {
@@ -73,22 +75,14 @@ SessionOptions parse_env() {
   audit_unknown_names();
 
   if (const char* v = std::getenv("REPRO_SCALE"); v != nullptr) {
-    if (std::strcmp(v, "quick") == 0) {
-      o.scale = Scale::kQuick;
-    } else if (std::strcmp(v, "full") == 0) {
-      o.scale = Scale::kFull;
-    } else if (std::strcmp(v, "standard") != 0) {
+    if (!scale_from_string(v, o.scale)) {
       warn("unrecognized REPRO_SCALE=%s (expected quick|standard|full); "
            "running at the standard scale", v);
     }
   }
 
   if (const char* v = std::getenv("SIM_FIDELITY"); v != nullptr) {
-    if (std::strcmp(v, "sampled") == 0) {
-      o.fidelity = sim::SimFidelity::kSampled;
-    } else if (std::strcmp(v, "streamed") == 0) {
-      o.fidelity = sim::SimFidelity::kStreamed;
-    } else if (std::strcmp(v, "exact") != 0) {
+    if (!fidelity_from_string(v, o.fidelity)) {
       warn("unrecognized SIM_FIDELITY=%s (expected exact|sampled|streamed); "
            "running the exact tier", v);
     }
@@ -96,12 +90,11 @@ SessionOptions parse_env() {
 
   if (const char* v = std::getenv("SIM_SAMPLE_PERIOD_MAX"); v != nullptr) {
     std::uint32_t parsed = 0;
-    if (parse_u32(v, parsed) && parsed >= 2 && parsed <= 64 &&
-        (parsed & (parsed - 1)) == 0) {
+    if (parse_u32(v, parsed) && valid_sample_period_max(parsed)) {
       o.sample_period_max = parsed;
     } else {
       warn("invalid SIM_SAMPLE_PERIOD_MAX=%s (expected a power of two in "
-           "[2, 64]); using the fidelity tier's default ceiling", v);
+           "[8, 64]); using the fidelity tier's default ceiling", v);
     }
   }
 
@@ -154,11 +147,15 @@ std::uint32_t resolve_sample_period_max(sim::SimFidelity fidelity,
   // ~-7% pps, see docs/simulation_modes.md; 16 keeps every realistic chain
   // within ~3%).
   std::uint32_t v = fidelity == sim::SimFidelity::kStreamed ? 16U : sample_period;
-  if (requested.has_value() && *requested >= sample_period && *requested <= 64 &&
-      (*requested & (*requested - 1)) == 0) {
+  if (requested.has_value() && valid_sample_period_max(*requested) &&
+      *requested >= sample_period) {
     v = *requested;
   }
   return v;
+}
+
+bool valid_sample_period_max(std::uint64_t p) {
+  return p >= 8 && p <= 64 && (p & (p - 1)) == 0;
 }
 
 int default_seeds(Scale s) { return s == Scale::kFull ? 3 : 1; }

@@ -88,11 +88,15 @@ struct SessionOptions {
   [[nodiscard]] bool operator==(const SessionOptions&) const = default;
 };
 
+/// The one validity rule for a requested adaptive-period ceiling (the spec
+/// field and SIM_SAMPLE_PERIOD_MAX alike): a power of two in [8, 64]. 8 is
+/// the base sample_period, so a lower ceiling could never widen anything.
+[[nodiscard]] bool valid_sample_period_max(std::uint64_t p);
+
 /// Effective MachineConfig::sample_period_max for a tier: the tier default
 /// (base `sample_period`; 16 for kStreamed) unless `requested` holds a valid
-/// override — a power of two in [sample_period, 64]. Invalid requests are
-/// ignored (the parse already warned), mirroring the historical env-var
-/// semantics bit-for-bit.
+/// override that is also >= `sample_period`. Invalid requests are ignored
+/// (both parses already reject them).
 [[nodiscard]] std::uint32_t resolve_sample_period_max(sim::SimFidelity fidelity,
                                                       std::uint32_t sample_period,
                                                       std::optional<std::uint32_t> requested);

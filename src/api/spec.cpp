@@ -41,7 +41,23 @@ namespace {
   return false;
 }
 
-[[nodiscard]] bool scale_from_string(const std::string& s, Scale& out) {
+constexpr core::SynParams kDefaultSyn{};
+
+}  // namespace
+
+bool flow_type_from_string(const std::string& s, core::FlowType& out) {
+  for (const core::FlowType v :
+       {core::FlowType::kIp, core::FlowType::kMon, core::FlowType::kFw, core::FlowType::kRe,
+        core::FlowType::kVpn, core::FlowType::kSyn, core::FlowType::kSynMax}) {
+    if (s == core::to_string(v)) {
+      out = v;
+      return true;
+    }
+  }
+  return false;
+}
+
+bool scale_from_string(const std::string& s, Scale& out) {
   for (const Scale v : {Scale::kQuick, Scale::kStandard, Scale::kFull}) {
     if (s == pp::to_string(v)) {
       out = v;
@@ -51,7 +67,7 @@ namespace {
   return false;
 }
 
-[[nodiscard]] bool fidelity_from_string(const std::string& s, sim::SimFidelity& out) {
+bool fidelity_from_string(const std::string& s, sim::SimFidelity& out) {
   for (const sim::SimFidelity v :
        {sim::SimFidelity::kExact, sim::SimFidelity::kSampled, sim::SimFidelity::kStreamed}) {
     if (s == sim::to_string(v)) {
@@ -62,7 +78,7 @@ namespace {
   return false;
 }
 
-[[nodiscard]] bool mode_from_string(const std::string& s, core::ContentionMode& out) {
+bool mode_from_string(const std::string& s, core::ContentionMode& out) {
   for (const core::ContentionMode v :
        {core::ContentionMode::kCacheOnly, core::ContentionMode::kMemCtrlOnly,
         core::ContentionMode::kBoth}) {
@@ -83,22 +99,6 @@ namespace {
   if (s == "both") {
     out = core::ContentionMode::kBoth;
     return true;
-  }
-  return false;
-}
-
-constexpr core::SynParams kDefaultSyn{};
-
-}  // namespace
-
-bool flow_type_from_string(const std::string& s, core::FlowType& out) {
-  for (const core::FlowType v :
-       {core::FlowType::kIp, core::FlowType::kMon, core::FlowType::kFw, core::FlowType::kRe,
-        core::FlowType::kVpn, core::FlowType::kSyn, core::FlowType::kSynMax}) {
-    if (s == core::to_string(v)) {
-      out = v;
-      return true;
-    }
   }
   return false;
 }
@@ -315,8 +315,8 @@ std::optional<ExperimentSpec> ExperimentSpec::parse(const std::string& json,
       spec.fidelity = f;
     } else if (key == "sample_period_max") {
       std::uint64_t p = 0;
-      if (!r.read_u64(v, "sample_period_max", p, 2, 64) || (p & (p - 1)) != 0) {
-        return fail("\"sample_period_max\" must be a power of two in [2, 64]");
+      if (!v.as_u64(p) || !valid_sample_period_max(p)) {
+        return fail("\"sample_period_max\" must be a power of two in [8, 64]");
       }
       spec.sample_period_max = static_cast<std::uint32_t>(p);
     } else if (key == "seeds") {

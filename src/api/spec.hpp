@@ -101,10 +101,16 @@ struct ExperimentSpec {
                                                            std::string* error = nullptr);
 };
 
-/// Flow-type name lookup ("IP", "MON", ... as printed by core::to_string);
-/// shared by the JSON layer and the ppctl flag parser so both accept the
-/// same set. Returns false on unknown names.
+/// Name lookups, one table per enum: each accepts exactly the names its
+/// to_string prints ("IP", "quick", "streamed", "cache-only", ...), and
+/// mode_from_string also the aliases cache|memctrl|both. Shared by the JSON
+/// layer, the ppctl flag parser and the environment parse, so all accept
+/// the same set. Each returns false, leaving `out` untouched, on an unknown
+/// name.
 [[nodiscard]] bool flow_type_from_string(const std::string& s, core::FlowType& out);
+[[nodiscard]] bool scale_from_string(const std::string& s, Scale& out);
+[[nodiscard]] bool fidelity_from_string(const std::string& s, sim::SimFidelity& out);
+[[nodiscard]] bool mode_from_string(const std::string& s, core::ContentionMode& out);
 
 /// Session configuration with this spec's overrides applied.
 [[nodiscard]] SessionOptions apply_spec(const ExperimentSpec& spec, SessionOptions base);

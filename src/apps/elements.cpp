@@ -316,23 +316,18 @@ std::optional<std::string> VpnEncrypt::configure(const std::vector<std::string>&
 }
 
 std::optional<std::string> VpnEncrypt::initialize(click::ElementEnv& env) {
-  std::array<std::uint8_t, Aes128::kKeyBytes> key{};
-  for (auto& b : key) b = static_cast<std::uint8_t>(env.rng.next() & 0xffU);
-  for (auto& b : nonce_) b = static_cast<std::uint8_t>(env.rng.next() & 0xffU);
-  aes_ = std::make_unique<Aes128>(std::span<const std::uint8_t, Aes128::kKeyBytes>{key});
   // 4 KB of lookup tables (Te-table footprint), resident in the cache sim.
   tables_ = sim::Region::make(env.machine->address_space(), env.numa_domain, sim::kLineBytes,
                               4096 / sim::kLineBytes);
   return std::nullopt;
 }
 
-void VpnEncrypt::encrypt_one(click::Context& cx, net::PacketBuf* p, sim::StreamBurst* burst,
-                             std::uint64_t* deferred_instr) {
+void VpnEncrypt::charge_one(click::Context& cx, net::PacketBuf* p, sim::StreamBurst* burst,
+                            std::uint64_t* deferred_instr) {
+  constexpr std::size_t kAesBlockBytes = 16;
   auto payload = payload_of(*p);
   if (payload.empty()) return;
-  aes_->ctr_xcrypt(payload, payload, std::span<const std::uint8_t, 12>{nonce_}, counter_);
-  const std::size_t blocks = (payload.size() + Aes128::kBlockBytes - 1) / Aes128::kBlockBytes;
-  counter_ += static_cast<std::uint32_t>(blocks);
+  const std::size_t blocks = (payload.size() + kAesBlockBytes - 1) / kAesBlockBytes;
   // Cost model: software AES ALU work plus table residency + payload I/O.
   const std::uint64_t instr = instr_per_byte_ * payload.size();
   if (burst != nullptr) {
@@ -360,24 +355,24 @@ void VpnEncrypt::do_push(click::Context& cx, int port, net::PacketBuf* p) {
     // SimFidelity::kStreamed: see RedundancyElim::do_push.
     burst_.clear();
     std::uint64_t instr = 0;
-    encrypt_one(cx, p, &burst_, &instr);
+    charge_one(cx, p, &burst_, &instr);
     if (instr > 0) cx.core.compute(instr);
     burst_.flush(cx.core);
   } else {
-    encrypt_one(cx, p, nullptr, nullptr);
+    charge_one(cx, p, nullptr, nullptr);
   }
   output(cx, 0, p);
 }
 
 void VpnEncrypt::do_push_batch(click::Context& cx, int port, net::PacketBuf** ps, int n) {
   (void)port;
-  // Payload-streaming burst: the host-side crypto (and the CTR counter /
-  // table-cursor sequences) is identical to the per-packet path; the ALU
-  // charge is summed, and the AES-table loads plus the payload write-backs
-  // of the whole burst are issued as one read burst + one write burst.
+  // Payload-streaming burst: the table-cursor sequence is identical to the
+  // per-packet path; the ALU charge is summed, and the AES-table loads plus
+  // the payload write-backs of the whole burst are issued as one read burst
+  // + one write burst.
   burst_.clear();
   std::uint64_t instr = 0;
-  for (int i = 0; i < n; ++i) encrypt_one(cx, ps[i], &burst_, &instr);
+  for (int i = 0; i < n; ++i) charge_one(cx, ps[i], &burst_, &instr);
   if (instr > 0) cx.core.compute(instr);
   burst_.flush(cx.core);
   output_batch(cx, 0, ps, n);

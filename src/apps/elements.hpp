@@ -6,17 +6,18 @@
 //   FlowStatistics  NetFlow per-flow accounting (MON adds this to IP)
 //   SeqFirewall     1000-rule sequential filter (FW adds this to MON)
 //   RedundancyElim  Spring-Wetherall RE (RE adds this to MON)
-//   VpnEncrypt      AES-128-CTR over the payload (VPN adds this to MON*)
+//   VpnEncrypt      the cost of AES-128 over the payload: ALU work, table
+//                   loads and the payload write-back (VPN adds this to MON*)
 //   SynProcessor    per-packet synthetic work, with an optional hidden
 //                   mode-switch (Section 4's "contained aggressiveness")
 //   SynSource       packet-less synthetic driver (SYN / SYN_MAX competitors)
 //
-// *The paper's VPN = IP + NetFlow + AES.
+// *The paper's VPN = IP + NetFlow + AES. Only the cost is simulated: no
+// element reads the ciphertext, so the payload bytes are left as they are.
 #pragma once
 
 #include <memory>
 
-#include "apps/aes.hpp"
 #include "apps/firewall.hpp"
 #include "apps/flow_table.hpp"
 #include "apps/radix_trie.hpp"
@@ -129,17 +130,14 @@ class VpnEncrypt final : public click::Element {
   void do_push_batch(click::Context& cx, int port, net::PacketBuf** ps, int n) override;
 
  private:
-  /// Shared crypto + cost model of both push paths. Per-packet
-  /// (burst == nullptr): charges immediately, in do_push's historical
-  /// order. Batched: defers the table loads / payload write-back into
-  /// `burst` and accumulates the ALU charge into `deferred_instr`.
-  void encrypt_one(click::Context& cx, net::PacketBuf* p, sim::StreamBurst* burst,
-                   std::uint64_t* deferred_instr);
+  /// Shared AES cost model of both push paths. Per-packet (burst ==
+  /// nullptr): charges immediately, in do_push's historical order.
+  /// Batched: defers the table loads / payload write-back into `burst` and
+  /// accumulates the ALU charge into `deferred_instr`.
+  void charge_one(click::Context& cx, net::PacketBuf* p, sim::StreamBurst* burst,
+                  std::uint64_t* deferred_instr);
 
   std::uint64_t instr_per_byte_ = 14;  // software AES cost model
-  std::unique_ptr<Aes128> aes_;
-  std::array<std::uint8_t, 12> nonce_{};
-  std::uint32_t counter_ = 0;
   sim::Region tables_;  // simulated residency of the AES tables (4 KB)
   std::size_t table_cursor_ = 0;
   sim::StreamBurst burst_;  // table-load + payload-write staging (host side)

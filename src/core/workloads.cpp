@@ -49,12 +49,21 @@ WorkloadSizes WorkloadSizes::for_scale(Scale s) {
   return z;
 }
 
-std::string flow_config_text(FlowType t, const WorkloadSizes& z, std::uint64_t seed,
-                             int batch) {
+namespace {
+
+/// SYN_MAX: the most aggressive synthetic competitor, whatever FlowSpec::syn
+/// holds.
+constexpr SynParams kSynMaxParams{64, 0, 12};
+
+}  // namespace
+
+std::string flow_config_text(const FlowSpec& spec, const WorkloadSizes& z) {
+  const std::uint64_t seed = spec.seed;
   // batch == 1 emits the historical text byte-for-byte (BATCH 1 is the
   // parser default), so existing goldens and cache keys derived from the
   // text are unaffected.
-  const std::string batch_arg = batch > 1 ? strformat(", BATCH %d", batch) : std::string();
+  const std::string batch_arg =
+      spec.batch > 1 ? strformat(", BATCH %d", spec.batch) : std::string();
   const std::string src64 =
       strformat("FromDevice(FLOWPOOL, BYTES %u, POOL %llu, SEED %llu%s)", z.small_packet,
                 static_cast<unsigned long long>(z.flow_pool),
@@ -65,7 +74,7 @@ std::string flow_config_text(FlowType t, const WorkloadSizes& z, std::uint64_t s
   const std::string stats =
       strformat("FlowStatistics(BUCKETS %llu)", static_cast<unsigned long long>(z.flow_buckets));
 
-  switch (t) {
+  switch (spec.type) {
     case FlowType::kIp:
       // The paper's IP input: fully random destinations.
       return strformat(
@@ -121,25 +130,20 @@ std::string flow_config_text(FlowType t, const WorkloadSizes& z, std::uint64_t s
              "out :: ToDevice;\n"
              "src -> check -> lookup -> stats -> vpn -> ttl -> out;\n";
     case FlowType::kSyn:
-    case FlowType::kSynMax:
-      return "syn :: SynSource(READS 32, INSTR 0, TABLE_MB 12);\n";
+    case FlowType::kSynMax: {
+      const SynParams p = spec.type == FlowType::kSynMax ? kSynMaxParams : spec.syn;
+      return strformat("syn :: SynSource(READS %llu, INSTR %llu, TABLE_MB %llu);\n",
+                       static_cast<unsigned long long>(p.reads),
+                       static_cast<unsigned long long>(p.instr),
+                       static_cast<unsigned long long>(p.table_mb));
+    }
   }
   return {};
 }
 
 std::optional<std::string> build_flow(click::Router& router, const FlowSpec& spec,
                                       const WorkloadSizes& z, const click::Registry& registry) {
-  if (spec.type == FlowType::kSyn || spec.type == FlowType::kSynMax) {
-    const SynParams p = spec.type == FlowType::kSynMax ? SynParams{64, 0, 12} : spec.syn;
-    auto e = registry.create("SynSource");
-    router.add("syn", std::move(e),
-               {strformat("READS %llu", static_cast<unsigned long long>(p.reads)),
-                strformat("INSTR %llu", static_cast<unsigned long long>(p.instr)),
-                strformat("TABLE_MB %llu", static_cast<unsigned long long>(p.table_mb))});
-    return std::nullopt;
-  }
-  return click::parse_config(flow_config_text(spec.type, z, spec.seed, spec.batch), registry,
-                             router);
+  return click::parse_config(flow_config_text(spec, z), registry, router);
 }
 
 const click::Registry& default_registry() {

@@ -7,7 +7,7 @@
 //   MON  = IP   + FlowStatistics               (NetFlow on top of forwarding)
 //   FW   = MON  + SeqFirewall                  (1000-rule sequential filter)
 //   RE   = MON  + RedundancyElim               (packet store + fingerprints)
-//   VPN  = MON  + VpnEncrypt                   (AES-128 per packet)
+//   VPN  = MON  + VpnEncrypt                   (AES-128's cost per packet)
 //   SYN  = SynSource                           (profiling antagonist)
 #pragma once
 
@@ -59,7 +59,7 @@ struct WorkloadSizes {
 /// driver burst size.
 struct FlowSpec {
   FlowType type = FlowType::kIp;
-  SynParams syn;  // used by kSyn/kSynMax
+  SynParams syn;  // used by kSyn; kSynMax always runs 64 reads
   std::uint64_t seed = 1;
   /// FromDevice burst size (BATCH driver arg; 1 = per-packet execution,
   /// bit-identical to the pre-batching platform). Ignored by kSyn/kSynMax.
@@ -88,12 +88,10 @@ struct FlowSpec {
                                                     const WorkloadSizes& sizes,
                                                     const click::Registry& registry);
 
-/// The same chain, as configuration-language text (exercised by tests and
-/// the quickstart example to demonstrate the DSL path). `batch` > 1 adds a
-/// BATCH driver arg to the source; the default emits the historical text
-/// unchanged.
-[[nodiscard]] std::string flow_config_text(FlowType t, const WorkloadSizes& sizes,
-                                           std::uint64_t seed, int batch = 1);
+/// `spec`'s chain as configuration-language text: what build_flow parses.
+/// `spec.batch` > 1 adds a BATCH driver arg to the source; BATCH 1 emits
+/// the historical text unchanged. SYN/SYN_MAX carry their SynParams.
+[[nodiscard]] std::string flow_config_text(const FlowSpec& spec, const WorkloadSizes& sizes);
 
 /// A registry with all standard + application elements registered.
 [[nodiscard]] const click::Registry& default_registry();

@@ -129,6 +129,8 @@ TEST(ExperimentSpec, RejectsBadInput) {
        "typo'd fidelity"},
       {R"({"version": 1, "kind": "solo", "sample_period_max": 12, "flows": [{"type": "IP"}]})",
        "non-power-of-two period"},
+      {R"({"version": 1, "kind": "solo", "sample_period_max": 4, "flows": [{"type": "IP"}]})",
+       "period ceiling below the base period 8"},
       {R"({"version": 1, "kind": "corun", "flows": [{"type": "IP"}],
            "placement": [{"core": 0}, {"core": 1}]})",
        "placement not parallel to flows"},

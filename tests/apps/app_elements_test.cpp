@@ -118,7 +118,7 @@ TEST_F(AppElementTest, FirewallDropsMatchingTraffic) {
   EXPECT_EQ(machine_.core(0).counters().drops, fw->matched());
 }
 
-TEST_F(AppElementTest, VpnEncryptsPayloadOnTheWire) {
+TEST_F(AppElementTest, VpnChargesAesCostPerPacket) {
   auto router = build(R"(
     src :: FromDevice(FLOWPOOL, BYTES 256, POOL 16, SEED 5, BUFS 64);
     vpn :: VpnEncrypt;
@@ -127,7 +127,7 @@ TEST_F(AppElementTest, VpnEncryptsPayloadOnTheWire) {
   )");
   machine_.run_until(300000);
   EXPECT_GT(machine_.core(0).counters().packets, 5U);
-  // AES work shows up as instructions attributed to the element.
+  // The AES cost model shows up as instructions attributed to the element.
   EXPECT_GT(router->find("vpn")->stats().instructions, 1000U);
 }
 

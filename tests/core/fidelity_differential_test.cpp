@@ -110,10 +110,12 @@ const MatrixResults& results() {
 /// Per-counter drift assertions of one statistical tier against exact.
 /// `pps_each` / `pps_mean`: per-scenario cap and matrix-wide mean of |pps
 /// drift|; likewise refs/packet. The per-scenario refs cap is deliberately
-/// loose: the FW chains' rule-scan L2-vs-L3 split is the sampled tier's
-/// documented weak counter (up to ~+50% refs/packet at a near-unchanged
-/// pps, both tiers alike, inherited from PR 2) — the tight mean cap is
-/// what locks the rest of the matrix.
+/// loose: the FW chains' refs/packet is the statistical tiers' documented
+/// weak counter (up to ~+50% at a near-unchanged pps, both tiers alike).
+/// Per-element attribution puts most of that excess in RadixIPLookup's trie
+/// walk, not in the SeqFirewall rule scan (docs/simulation_modes.md, "The
+/// FW chains' refs/packet excess"). The tight mean cap is what locks the
+/// rest of the matrix.
 void assert_tier_drift(int tier_index, double pps_each, double pps_mean, double refs_each,
                        double refs_mean, double l1_each) {
   const MatrixResults& m = results();

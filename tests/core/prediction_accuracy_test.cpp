@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
 #include "common/fixtures.hpp"
 #include "core/predictor.hpp"
@@ -34,6 +35,9 @@ double prediction_error_pts(sim::SimFidelity f, FlowType target) {
   const double predicted =
       pred.predict(target, {FlowType::kFw, FlowType::kFw, FlowType::kFw, FlowType::kFw,
                             FlowType::kFw});
+  // Printed, not only asserted, so each tier's error is tracked run to run.
+  std::printf("[ measured ] %s %s + 5 FW: predicted %.2f%%, measured %.2f%%, error %+.2f pts\n",
+              sim::to_string(f), to_string(target), predicted, actual, predicted - actual);
   return predicted - actual;
 }
 

@@ -32,7 +32,7 @@ TEST(Workloads, ConfigTextParsesForEveryRealisticType) {
   for (const FlowType t : kRealisticTypes) {
     sim::Machine machine;
     click::Router router(machine, 0, 0, 1);
-    const std::string text = flow_config_text(t, z, 7);
+    const std::string text = flow_config_text(FlowSpec::of(t, 7), z);
     const auto err = click::parse_config(text, default_registry(), router);
     EXPECT_FALSE(err.has_value()) << to_string(t) << ": " << *err << "\n" << text;
   }
@@ -57,12 +57,15 @@ TEST(Workloads, BuildFlowInitializesEveryType) {
 TEST(Workloads, ChainCompositionFollowsPaper) {
   // MON = IP + FlowStatistics; FW = MON + SeqFirewall; etc. (Section 2.1).
   const WorkloadSizes z = WorkloadSizes::for_scale(Scale::kQuick);
-  EXPECT_EQ(flow_config_text(FlowType::kIp, z, 1).find("FlowStatistics"), std::string::npos);
-  EXPECT_NE(flow_config_text(FlowType::kMon, z, 1).find("FlowStatistics"), std::string::npos);
-  EXPECT_NE(flow_config_text(FlowType::kFw, z, 1).find("SeqFirewall"), std::string::npos);
-  EXPECT_NE(flow_config_text(FlowType::kFw, z, 1).find("FlowStatistics"), std::string::npos);
-  EXPECT_NE(flow_config_text(FlowType::kRe, z, 1).find("RedundancyElim"), std::string::npos);
-  EXPECT_NE(flow_config_text(FlowType::kVpn, z, 1).find("VpnEncrypt"), std::string::npos);
+  const auto text = [&z](FlowType t) { return flow_config_text(FlowSpec::of(t), z); };
+  EXPECT_EQ(text(FlowType::kIp).find("FlowStatistics"), std::string::npos);
+  EXPECT_NE(text(FlowType::kMon).find("FlowStatistics"), std::string::npos);
+  EXPECT_NE(text(FlowType::kFw).find("SeqFirewall"), std::string::npos);
+  EXPECT_NE(text(FlowType::kFw).find("FlowStatistics"), std::string::npos);
+  EXPECT_NE(text(FlowType::kRe).find("RedundancyElim"), std::string::npos);
+  EXPECT_NE(text(FlowType::kVpn).find("VpnEncrypt"), std::string::npos);
+  // SYN_MAX is the 64-read competitor, whatever FlowSpec::syn holds.
+  EXPECT_NE(text(FlowType::kSynMax).find("READS 64"), std::string::npos);
 }
 
 TEST(Workloads, DefaultRegistryKnowsAllClasses) {

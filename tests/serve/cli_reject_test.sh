@@ -7,7 +7,8 @@
 #   ppd:   --workers --max-queue --retry-after-ms --max-frame-bytes
 #          --backlog --listen (host/port grammar)
 #   ppctl: --threads --seeds --seed --retries --retry-base-ms --retry-seed
-#          --deadline-ms --connect (endpoint grammar)
+#          --deadline-ms --connect (endpoint grammar), and the enum flags
+#          --scale --fidelity --mode (the spec fields' name tables)
 #
 # usage: cli_reject_test.sh <ppd-binary> <ppctl-binary>
 set -u
@@ -80,6 +81,11 @@ expect_reject --retry-seed "$PPCTL" run --retry-seed x "$SPEC"
 expect_reject --deadline-ms "$PPCTL" run --deadline-ms 0 "$SPEC"
 expect_reject --deadline-ms "$PPCTL" run --deadline-ms 1e3 "$SPEC"
 
+# ---- ppctl enum flags ----
+expect_reject --scale "$PPCTL" run --scale huge "$SPEC"
+expect_reject --fidelity "$PPCTL" run --fidelity streamd "$SPEC"
+expect_reject --mode "$PPCTL" run --mode bogus "$SPEC"
+
 # ---- ppctl --connect endpoint grammar ----
 expect_reject port "$PPCTL" stat --connect 127.0.0.1:abc
 expect_reject port "$PPCTL" stat --connect 127.0.0.1:70000
@@ -90,6 +96,11 @@ expect_reject --connect "$PPCTL" stat --connect not-an-ip:80
 "$PPCTL" stat --connect "$TMP/nonexistent.sock" > /dev/null 2>&1
 rc=$?
 [ "$rc" -eq 4 ] || fail "valid --connect to a dead socket should exit 4, got $rc"
+# The canonical mode name parses like its alias.
+"$PPCTL" stat --connect "$TMP/nonexistent.sock" --retries 1 --mode cache+memctrl \
+  > /dev/null 2>&1
+rc=$?
+[ "$rc" -eq 4 ] || fail "--mode cache+memctrl should parse (exit 4 on a dead socket), got $rc"
 
 if [ "$fails" -gt 0 ]; then
   echo "cli reject: $fails assertion(s) FAILED" >&2

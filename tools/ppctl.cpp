@@ -173,17 +173,19 @@ int parse_flags(int argc, char** argv, int start, CliOptions& cli,
     } else if (a == "--scale") {
       const char* v = value("--scale");
       if (v == nullptr) return fail("--scale needs a value");
-      if (std::strcmp(v, "quick") == 0) cli.scale = Scale::kQuick;
-      else if (std::strcmp(v, "standard") == 0) cli.scale = Scale::kStandard;
-      else if (std::strcmp(v, "full") == 0) cli.scale = Scale::kFull;
-      else return fail("unknown --scale (expected quick|standard|full)");
+      Scale scale = Scale::kStandard;
+      if (!api::scale_from_string(v, scale)) {
+        return fail("unknown --scale (expected quick|standard|full)");
+      }
+      cli.scale = scale;
     } else if (a == "--fidelity") {
       const char* v = value("--fidelity");
       if (v == nullptr) return fail("--fidelity needs a value");
-      if (std::strcmp(v, "exact") == 0) cli.fidelity = sim::SimFidelity::kExact;
-      else if (std::strcmp(v, "sampled") == 0) cli.fidelity = sim::SimFidelity::kSampled;
-      else if (std::strcmp(v, "streamed") == 0) cli.fidelity = sim::SimFidelity::kStreamed;
-      else return fail("unknown --fidelity (expected exact|sampled|streamed)");
+      sim::SimFidelity fidelity = sim::SimFidelity::kExact;
+      if (!api::fidelity_from_string(v, fidelity)) {
+        return fail("unknown --fidelity (expected exact|sampled|streamed)");
+      }
+      cli.fidelity = fidelity;
     } else if (a == "--threads") {
       if (!int_flag("--threads", 1, 64, n)) return 2;
       cli.session.threads = static_cast<int>(n);
@@ -204,15 +206,11 @@ int parse_flags(int argc, char** argv, int start, CliOptions& cli,
     } else if (a == "--mode") {
       const char* v = value("--mode");
       if (v == nullptr) return fail("--mode needs a value");
-      if (std::strcmp(v, "cache") == 0 || std::strcmp(v, "cache-only") == 0) {
-        cli.mode = core::ContentionMode::kCacheOnly;
-      } else if (std::strcmp(v, "memctrl") == 0 || std::strcmp(v, "memctrl-only") == 0) {
-        cli.mode = core::ContentionMode::kMemCtrlOnly;
-      } else if (std::strcmp(v, "both") == 0) {
-        cli.mode = core::ContentionMode::kBoth;
-      } else {
+      core::ContentionMode mode = core::ContentionMode::kBoth;
+      if (!api::mode_from_string(v, mode)) {
         return fail("unknown --mode (expected cache|memctrl|both)");
       }
+      cli.mode = mode;
     } else if (a == "--flows") {
       const char* v = value("--flows");
       if (v == nullptr) return fail("--flows needs a comma-separated list");
