@@ -18,8 +18,6 @@ namespace {
 
 using namespace pp::core;
 
-using Runs = std::vector<std::shared_ptr<const ScenarioResult>>;
-
 void header(std::string& out, const char* artifact, const char* description, Scale scale) {
   out += banner(std::string(artifact) + " — " + description);
   out += strformat("scale=%s (set REPRO_SCALE=quick|standard|full)\n\n", to_string(scale));
@@ -31,12 +29,6 @@ void chart(std::string& out, const std::string& title, const SeriesChart& c) {
 
 void table(std::string& out, const char* title, const TextTable& t) {
   out += std::string(title) + "\n" + t.to_text() + "\nCSV:\n" + t.to_csv() + "\n";
-}
-
-/// The `n` fan-out results starting at slot `at`.
-[[nodiscard]] Runs slice(const Runs& runs, std::size_t at, std::size_t n) {
-  return {runs.begin() + static_cast<std::ptrdiff_t>(at),
-          runs.begin() + static_cast<std::ptrdiff_t>(at + n)};
 }
 
 [[nodiscard]] std::vector<FlowSpec> realistic_targets() {
@@ -64,15 +56,13 @@ struct PairwiseCell {
   double competing_refs_per_sec = 0;
 };
 
-[[nodiscard]] PairwiseCell pool_cell(const Runs& runs) {
+[[nodiscard]] PairwiseCell pool_cell(const ScenarioRuns& runs) {
   std::vector<FlowMetrics> pooled;
   pooled.reserve(runs.size());
   double refs_sum = 0;
   for (const auto& r : runs) {
     pooled.push_back((*r)[0]);
-    double refs = 0;
-    for (std::size_t i = 1; i < r->size(); ++i) refs += (*r)[i].refs_per_sec();
-    refs_sum += refs;
+    refs_sum += competing_refs_per_sec(*r);
   }
   return {merge_metrics(pooled), refs_sum / static_cast<double>(runs.size())};
 }
@@ -117,7 +107,7 @@ void render_fig2(ViewStack& v, std::string& out) {
       }
     }
   }
-  const Runs runs = v.solo.store().get_or_run_many(jobs, v.solo.threads());
+  const ScenarioRuns runs = v.solo.store().get_or_run_many(jobs, v.solo.threads());
   const auto n = static_cast<std::size_t>(seeds);
   const std::size_t per_target = n * 6;  // solo + 5 cells
 
@@ -214,11 +204,10 @@ void render_fig5(ViewStack& v, std::string& out) {
       cells.push_back(pairwise_scenario(v.tb, target, comp, 1));
     }
   }
-  const Runs cell_runs = v.solo.store().get_or_run_many(cells, v.solo.threads());
+  const ScenarioRuns cell_runs = v.solo.store().get_or_run_many(cells, v.solo.threads());
 
   for (std::size_t t = 0; t < 5; ++t) {
     const FlowType target = kRealisticTypes[t];
-    const FlowMetrics solo = v.solo.profile(target);
     SeriesChart c("competing L3 refs/sec (M)",
                   {std::string(to_string(target)) + "(S) synthetic",
                    std::string(to_string(target)) + "(R) realistic"});
@@ -227,9 +216,8 @@ void render_fig5(ViewStack& v, std::string& out) {
     }
     for (std::size_t comp = 0; comp < 5; ++comp) {
       const ScenarioResult& run = *cell_runs[t * 5 + comp];
-      double refs = 0;
-      for (std::size_t i = 1; i < run.size(); ++i) refs += run[i].refs_per_sec();
-      c.add_point(refs / 1e6, {std::nan(""), drop_pct(solo, run[0])});
+      c.add_point(competing_refs_per_sec(run) / 1e6,
+                  {std::nan(""), drop_pct(sweeps[t].solo, run[0])});
     }
     chart(out, std::string("Figure 5, target ") + to_string(target) + ":", c);
   }
@@ -296,9 +284,9 @@ void render_fig6(ViewStack& v, std::string& out) {
 void render_fig7(ViewStack& v, std::string& out) {
   header(out, "Figure 7", "measured vs modeled hit-to-miss conversion (MON)", v.tb.scale());
 
-  const FlowMetrics mon_solo = v.solo.profile(FlowType::kMon);
   const SweepResult r = v.sweep.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kCacheOnly,
                                       SweepProfiler::default_levels(v.tb.scale()));
+  const FlowMetrics& mon_solo = r.solo;
 
   // Appendix model parameters: the shared cache in lines; MON's cacheable
   // chunks approximated by its flow table (the uniformly accessed structure
@@ -357,8 +345,8 @@ void render_fig8(ViewStack& v, std::string& out) {
 
   // Offline profiling (solo + SYN sweep per type) fans out via sweep_many,
   // the measured 5x5 grid in a second store request.
-  (void)v.sweep.sweep_many(realistic_targets(), ContentionMode::kBoth,
-                           SweepProfiler::default_levels(v.tb.scale()));
+  const std::vector<SweepResult> sweeps = v.sweep.sweep_many(
+      realistic_targets(), ContentionMode::kBoth, SweepProfiler::default_levels(v.tb.scale()));
   std::vector<Scenario> cells;
   for (const FlowType target : kRealisticTypes) {
     for (const FlowType comp : kRealisticTypes) {
@@ -368,7 +356,7 @@ void render_fig8(ViewStack& v, std::string& out) {
       }
     }
   }
-  const Runs cell_runs = v.solo.store().get_or_run_many(cells, v.solo.threads());
+  const ScenarioRuns cell_runs = v.solo.store().get_or_run_many(cells, v.solo.threads());
 
   TextTable a({"target", "5 IP", "5 MON", "5 FW", "5 RE", "5 VPN"});
   TextTable b({"target", "5 IP", "5 MON", "5 FW", "5 RE", "5 VPN"});
@@ -379,22 +367,16 @@ void render_fig8(ViewStack& v, std::string& out) {
 
   for (std::size_t ti = 0; ti < 5; ++ti) {
     const FlowType target = kRealisticTypes[ti];
-    const FlowMetrics solo = v.solo.profile(target);
-    // One curve aggregation per target row (the five cells share it); the
-    // competitor-refs summation below mirrors predict() exactly.
-    const SweepCurve curve = v.predictor.curve(target);
+    const SweepResult& profile = sweeps[ti];
     std::vector<double> row_a;
     std::vector<double> row_b;
     double abs_a = 0;
     double abs_b = 0;
     for (std::size_t ci = 0; ci < 5; ++ci) {
       const PairwiseCell cell = pool_cell(slice(cell_runs, (ti * 5 + ci) * n, n));
-      const double actual = drop_pct(solo, cell.target);
-      const double comp_solo_refs = v.predictor.solo_refs_per_sec(kRealisticTypes[ci]);
-      double solo_refs_sum = 0;
-      for (int k = 0; k < 5; ++k) solo_refs_sum += comp_solo_refs;
-      const double ours = curve.drop_at(solo_refs_sum);
-      const double known = curve.drop_at(cell.competing_refs_per_sec);
+      const double actual = drop_pct(profile.solo, cell.target);
+      const double ours = predict_drop(profile, std::vector<FlowMetrics>(5, sweeps[ci].solo));
+      const double known = profile.curve.drop_at(cell.competing_refs_per_sec);
       row_a.push_back(ours - actual);
       row_b.push_back(known - actual);
       abs_a += std::abs(ours - actual);
@@ -433,18 +415,25 @@ void render_fig9(ViewStack& v, std::string& out) {
   }
   const ScenarioResult& run = *v.solo.store().get_or_run(Scenario::of(v.tb, cfg));
 
+  // Offline profiling of the socket mix (a repeated type's scenarios
+  // collapse in the store fan-out).
+  std::vector<FlowSpec> targets;
+  for (const FlowType type : socket_mix) targets.push_back(FlowSpec::of(type));
+  const std::vector<SweepResult> sweeps = v.sweep.sweep_many(
+      targets, ContentionMode::kBoth, SweepProfiler::default_levels(v.tb.scale()));
+
   TextTable t({"flow", "measured drop (%)", "predicted drop (%)", "absolute error"});
   double max_err = 0;
   for (std::size_t i = 0; i < cfg.flows.size(); ++i) {
     const FlowType target = cfg.flows[i].type;
-    const int socket = cfg.placement[i].core / 6;
     // Competitors: the other five flows on the same socket.
-    std::vector<FlowType> comps;
-    for (std::size_t j = 0; j < cfg.flows.size(); ++j) {
-      if (j != i && cfg.placement[j].core / 6 == socket) comps.push_back(cfg.flows[j].type);
+    const std::size_t k = i % 6;
+    std::vector<FlowMetrics> competitors;
+    for (std::size_t j = 0; j < 6; ++j) {
+      if (j != k) competitors.push_back(sweeps[j].solo);
     }
-    const double actual = drop_pct(v.solo.profile(target), run[i]);
-    const double predicted = v.predictor.predict(target, comps);
+    const double actual = drop_pct(sweeps[k].solo, run[i]);
+    const double predicted = predict_drop(sweeps[k], competitors);
     const double err = std::abs(predicted - actual);
     max_err = std::max(max_err, err);
     t.add_numeric_row(std::string(to_string(target)) + " (core " +
@@ -531,7 +520,7 @@ void render_numa(ViewStack& v, std::string& out) {
     jobs.push_back(Scenario::of(v.tb, local));
     jobs.push_back(Scenario::of(v.tb, remote));
   }
-  const Runs runs = v.solo.store().get_or_run_many(jobs, v.solo.threads());
+  const ScenarioRuns runs = v.solo.store().get_or_run_many(jobs, v.solo.threads());
 
   TextTable t({"flow", "local pps (M)", "remote pps (M)", "slowdown (%)",
                "remote refs/packet"});

@@ -9,26 +9,13 @@
 
 namespace pp::api {
 
-namespace {
-
-using Runs = std::vector<std::shared_ptr<const core::ScenarioResult>>;
-
-/// The `n` fan-out results starting at slot `at`.
-[[nodiscard]] Runs slots(const Runs& runs, std::size_t at, std::size_t n) {
-  return {runs.begin() + static_cast<std::ptrdiff_t>(at),
-          runs.begin() + static_cast<std::ptrdiff_t>(at + n)};
-}
-
-}  // namespace
-
 // ------------------------------------------------------------------- stack
 
 ViewStack::ViewStack(const SessionOptions& opts, int seeds, core::ProfileStore& store)
     : tb(opts.scale, 1),
       solo(tb, seeds > 0 ? seeds : default_seeds(opts.scale), store, opts.threads),
-      sweep(solo, 5, opts.threads),
-      predictor(solo, sweep),
-      placement(solo, opts.threads) {
+      sweep(solo, 5),
+      placement(solo) {
   // The one place a session's options reach the simulator: the Testbed
   // starts at the exact tier with no budget or deadline.
   sim::MachineConfig& m = tb.machine_config();
@@ -99,7 +86,8 @@ Result Session::run(const ExperimentSpec& spec) {
         for (std::size_t i = 0; i < spec.flows.size(); ++i) {
           FlowReport fr;
           fr.spec = spec.flows[i];
-          fr.metrics = core::SoloProfiler::merge_plan(slots(runs, i * seed_count, seed_count));
+          fr.metrics =
+              core::SoloProfiler::merge_plan(core::slice(runs, i * seed_count, seed_count));
           fr.solo_pps = fr.metrics.pps();
           res.flows.push_back(std::move(fr));
         }
@@ -122,8 +110,8 @@ Result Session::run(const ExperimentSpec& spec) {
           FlowReport fr;
           fr.spec = spec.flows[i];
           fr.metrics = core::merge_metrics(per_seed);
-          const core::FlowMetrics solo =
-              core::SoloProfiler::merge_plan(slots(runs, solo_base + i * seed_count, seed_count));
+          const core::FlowMetrics solo = core::SoloProfiler::merge_plan(
+              core::slice(runs, solo_base + i * seed_count, seed_count));
           fr.solo_pps = solo.pps();
           fr.drop_pct = core::drop_pct(solo, fr.metrics);
           res.flows.push_back(std::move(fr));
@@ -143,15 +131,15 @@ Result Session::run(const ExperimentSpec& spec) {
         const auto sweeps = v.sweep.sweep_many(spec.flows, core::ContentionMode::kBoth,
                                                core::SweepProfiler::default_levels(eff.scale));
         for (std::size_t i = 0; i < spec.flows.size(); ++i) {
-          double competing_refs = 0;
+          std::vector<core::FlowMetrics> competitors;
           for (std::size_t j = 0; j < spec.flows.size(); ++j) {
-            if (j != i) competing_refs += sweeps[j].solo.refs_per_sec();
+            if (j != i) competitors.push_back(sweeps[j].solo);
           }
           FlowReport fr;
           fr.spec = spec.flows[i];
           fr.metrics = sweeps[i].solo;
           fr.solo_pps = sweeps[i].solo.pps();
-          fr.drop_pct = sweeps[i].curve.drop_at(competing_refs);
+          fr.drop_pct = core::predict_drop(sweeps[i], competitors);
           res.flows.push_back(std::move(fr));
         }
         break;

@@ -1,7 +1,7 @@
 // The public facade: one entry point for executing declarative experiments.
 //
 // A Session bundles the scenario-engine stack — the content-addressed
-// ProfileStore plus the stateless profiler/predictor/placement views — behind
+// ProfileStore plus the stateless solo, sweep and placement views — behind
 // explicit SessionOptions instead of scattered getenv() calls, and executes
 // ExperimentSpecs into structured, serializable Results:
 //
@@ -24,7 +24,6 @@
 #include "api/spec.hpp"
 #include "base/status.hpp"
 #include "core/placement.hpp"
-#include "core/predictor.hpp"
 #include "core/profile_store.hpp"
 #include "core/profiler.hpp"
 #include "core/sweep.hpp"
@@ -87,12 +86,12 @@ struct Result {
 /// (Session builds one per spec — construction is cheap; all measurement
 /// state lives in the store). The only path by which SessionOptions reach
 /// the simulator: fidelity, period ceiling, budget and deadline go to the
-/// Testbed; `threads` to the solo, sweep and placement views.
+/// Testbed; `threads` to the solo view, which the sweep and placement views
+/// fan out through.
 struct ViewStack {
   core::Testbed tb;
   core::SoloProfiler solo;
   core::SweepProfiler sweep;
-  core::ContentionPredictor predictor;
   core::PlacementEvaluator placement;
 
   /// `seeds` = averaging seeds per data point (0 = default_seeds(scale)).

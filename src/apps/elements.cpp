@@ -388,9 +388,6 @@ std::optional<std::string> SynProcessor::configure(const std::vector<std::string
   instr_ = a.get_u64("INSTR", instr_);
   alt_reads_ = a.get_u64("ALT_READS", alt_reads_);
   alt_instr_ = a.get_u64("ALT_INSTR", alt_instr_);
-  trig_off_ = static_cast<std::int64_t>(a.get_u64("TRIG_OFF", 0));
-  if (!a.has("TRIG_OFF")) trig_off_ = -1;
-  trig_val_ = a.get_u64("TRIG_VAL", 0xEE);
   trig_after_ = a.get_u64("TRIG_AFTER", 0);
   table_mb_ = a.get_u64("TABLE_MB", table_mb_);
   if (table_mb_ < 1 || table_mb_ > 256) a.error("TABLE_MB out of range [1, 256]");
@@ -407,10 +404,6 @@ std::optional<std::string> SynProcessor::initialize(click::ElementEnv& env) {
 void SynProcessor::do_push(click::Context& cx, int port, net::PacketBuf* p) {
   (void)port;
   ++packets_seen_;
-  if (!triggered_ && trig_off_ >= 0 && static_cast<std::size_t>(trig_off_) < p->len &&
-      p->bytes[static_cast<std::size_t>(trig_off_)] == trig_val_) {
-    triggered_ = true;  // hidden aggressiveness unlocked by a crafted packet
-  }
   if (!triggered_ && trig_after_ > 0 && packets_seen_ >= trig_after_) {
     triggered_ = true;  // deterministic stand-in: the crafted packet is the Nth
   }
@@ -438,12 +431,7 @@ void SynProcessor::do_push_batch(click::Context& cx, int port, net::PacketBuf** 
   // counter bookkeeping is applied once per burst.
   addr_scratch_.clear();
   for (int i = 0; i < n; ++i) {
-    net::PacketBuf* p = ps[i];
     ++packets_seen_;
-    if (!triggered_ && trig_off_ >= 0 && static_cast<std::size_t>(trig_off_) < p->len &&
-        p->bytes[static_cast<std::size_t>(trig_off_)] == trig_val_) {
-      triggered_ = true;
-    }
     if (!triggered_ && trig_after_ > 0 && packets_seen_ >= trig_after_) {
       triggered_ = true;
     }

@@ -143,9 +143,9 @@ class VpnEncrypt final : public click::Element {
   sim::StreamBurst burst_;  // table-load + payload-write staging (host side)
 };
 
-/// Per-packet synthetic processing with an optional hidden mode switch: when
-/// byte TRIG_OFF of a packet equals TRIG_VAL, the element flips to the ALT_*
-/// parameters (the paper's crafted-packet attack in Section 4).
+/// Per-packet synthetic processing with an optional hidden mode switch: after
+/// TRIG_AFTER packets (a deterministic stand-in for the paper's crafted
+/// packet, Section 4) the element flips to the ALT_* parameters.
 class SynProcessor final : public click::Element {
  public:
   [[nodiscard]] std::string_view class_name() const override { return "SynProcessor"; }
@@ -154,7 +154,6 @@ class SynProcessor final : public click::Element {
   [[nodiscard]] std::optional<std::string> initialize(click::ElementEnv& env) override;
 
   [[nodiscard]] bool triggered() const { return triggered_; }
-  void reset_mode() { triggered_ = false; }
 
  protected:
   void do_push(click::Context& cx, int port, net::PacketBuf* p) override;
@@ -165,8 +164,6 @@ class SynProcessor final : public click::Element {
   std::uint64_t instr_ = 100;
   std::uint64_t alt_reads_ = 0;
   std::uint64_t alt_instr_ = 0;
-  std::int64_t trig_off_ = -1;
-  std::uint64_t trig_val_ = 0;
   std::uint64_t trig_after_ = 0;  // >0: trigger after N packets (crafted-packet stand-in)
   std::uint64_t packets_seen_ = 0;
   std::uint64_t table_mb_ = 12;
@@ -189,12 +186,7 @@ class SynSource final : public click::Element, public click::Driver {
   [[nodiscard]] std::optional<std::string> initialize(click::ElementEnv& env) override;
 
   void run_once(click::Context& cx) override;
-
-  /// Runtime knob used by the sweep profiler to ramp refs/sec.
   void prewarm(click::Context& cx) override;
-
-  void set_compute(std::uint64_t instr) { instr_ = instr; }
-  [[nodiscard]] std::uint64_t reads() const { return reads_; }
 
  protected:
   void do_push(click::Context&, int, net::PacketBuf*) override {}

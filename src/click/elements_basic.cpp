@@ -1,8 +1,5 @@
 #include "click/elements_basic.hpp"
 
-#include <cctype>
-
-#include "base/strings.hpp"
 #include "click/args.hpp"
 #include "net/headers.hpp"
 
@@ -104,120 +101,6 @@ void Discard::do_push_batch(Context& cx, int port, net::PacketBuf** ps, int n) {
   (void)port;
   cx.core.count_drops(static_cast<std::uint64_t>(n));
   net::recycle_batch(cx.core, ps, static_cast<std::size_t>(n));
-}
-
-std::optional<std::string> Classifier::configure(const std::vector<std::string>& args,
-                                                 ElementEnv& env) {
-  (void)env;
-  if (args.empty()) return std::string{"needs at least one pattern"};
-  for (const auto& raw : args) {
-    const std::string_view arg = trim(raw);
-    Pattern pat;
-    if (arg == "-") {
-      pat.match_all = true;
-      patterns_.push_back(std::move(pat));
-      continue;
-    }
-    for (const auto& piece : split(std::string(arg), ' ')) {
-      const std::string_view m = trim(piece);
-      if (m.empty()) continue;
-      const auto slash = m.find('/');
-      if (slash == std::string_view::npos) return "bad match '" + std::string(m) + "'";
-      std::uint64_t off = 0;
-      if (!parse_u64(m.substr(0, slash), off)) {
-        return "bad offset in '" + std::string(m) + "'";
-      }
-      const std::string_view hex = m.substr(slash + 1);
-      if (hex.empty() || hex.size() % 2 != 0) {
-        return "bad hex bytes in '" + std::string(m) + "'";
-      }
-      Match match;
-      match.offset = static_cast<std::uint32_t>(off);
-      for (std::size_t i = 0; i < hex.size(); i += 2) {
-        auto nibble = [](char c) -> int {
-          if (c >= '0' && c <= '9') return c - '0';
-          if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-          if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-          return -1;
-        };
-        const int hi = nibble(hex[i]);
-        const int lo = nibble(hex[i + 1]);
-        if (hi < 0 || lo < 0) return "bad hex digit in '" + std::string(m) + "'";
-        match.bytes.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-      }
-      pat.matches.push_back(std::move(match));
-    }
-    patterns_.push_back(std::move(pat));
-  }
-  return std::nullopt;
-}
-
-void Classifier::do_push(Context& cx, int port, net::PacketBuf* p) {
-  (void)port;
-  sim::Core& core = cx.core;
-  for (std::size_t i = 0; i < patterns_.size(); ++i) {
-    const Pattern& pat = patterns_[i];
-    bool ok = true;
-    if (!pat.match_all) {
-      for (const Match& m : pat.matches) {
-        core.compute(4 + 2 * static_cast<std::uint64_t>(m.bytes.size()));
-        if (m.offset + m.bytes.size() > p->len) {
-          ok = false;
-          break;
-        }
-        core.load(p->sim_addr(m.offset));
-        for (std::size_t b = 0; b < m.bytes.size(); ++b) {
-          if (p->bytes[m.offset + b] != m.bytes[b]) {
-            ok = false;
-            break;
-          }
-        }
-        if (!ok) break;
-      }
-    }
-    if (ok) {
-      output(cx, static_cast<int>(i), p);
-      return;
-    }
-  }
-  core.count_drop();
-  net::recycle(core, p);
-}
-
-std::optional<std::string> Tee::configure(const std::vector<std::string>& args,
-                                          ElementEnv& env) {
-  (void)env;
-  Args a(args);
-  if (a.positionals().size() == 1) {
-    std::uint64_t n = 0;
-    if (!parse_u64(a.positionals()[0], n) || n < 1 || n > 16) {
-      a.error("output count must be 1..16");
-    } else {
-      n_ = static_cast<int>(n);
-    }
-  } else if (!a.positionals().empty()) {
-    a.error("expected a single output count");
-  }
-  return a.finish();
-}
-
-void Tee::do_push(Context& cx, int port, net::PacketBuf* p) {
-  (void)port;
-  sim::Core& core = cx.core;
-  for (int i = 1; i < n_; ++i) {
-    net::PacketBuf* clone = p->owner_pool->alloc(core);
-    if (clone == nullptr) break;  // pool dry: skip this copy
-    clone->len = p->len;
-    clone->input_port = p->input_port;
-    clone->l3_offset = p->l3_offset;
-    std::copy(p->bytes.begin(), p->bytes.begin() + p->len, clone->bytes.begin());
-    // Copy cost: read source lines, write destination lines.
-    core.stream(p->addr, p->len, sim::AccessType::kRead);
-    core.stream(clone->addr, clone->len, sim::AccessType::kWrite);
-    core.compute(p->len / 4);
-    output(cx, i, clone);
-  }
-  output(cx, 0, p);
 }
 
 std::optional<std::string> ControlShim::configure(const std::vector<std::string>& args,

@@ -76,48 +76,6 @@ class Discard final : public Element {
   void do_push_batch(Context& cx, int port, net::PacketBuf** ps, int n) override;
 };
 
-/// Byte-pattern classifier, a subset of Click's: each configuration
-/// argument describes one output port, either "-" (match everything) or a
-/// space-separated list of "offset/hexbytes" patterns that must all match.
-/// Packets matching no pattern are dropped.
-class Classifier final : public Element {
- public:
-  [[nodiscard]] std::string_view class_name() const override { return "Classifier"; }
-  [[nodiscard]] int n_outputs() const override { return static_cast<int>(patterns_.size()); }
-  [[nodiscard]] std::optional<std::string> configure(const std::vector<std::string>& args,
-                                                     ElementEnv& env) override;
-
- protected:
-  void do_push(Context& cx, int port, net::PacketBuf* p) override;
-
- private:
-  struct Match {
-    std::uint32_t offset = 0;
-    std::vector<std::uint8_t> bytes;
-  };
-  struct Pattern {
-    bool match_all = false;
-    std::vector<Match> matches;
-  };
-  std::vector<Pattern> patterns_;
-};
-
-/// Duplicates packets to N outputs (Click's Tee). Clones are allocated from
-/// the original's buffer pool; if the pool is dry the clone is skipped.
-class Tee final : public Element {
- public:
-  [[nodiscard]] std::string_view class_name() const override { return "Tee"; }
-  [[nodiscard]] int n_outputs() const override { return n_; }
-  [[nodiscard]] std::optional<std::string> configure(const std::vector<std::string>& args,
-                                                     ElementEnv& env) override;
-
- protected:
-  void do_push(Context& cx, int port, net::PacketBuf* p) override;
-
- private:
-  int n_ = 2;
-};
-
 /// The paper's "control element" (Section 4, containing hidden
 /// aggressiveness): performs a configurable number of plain CPU operations
 /// per packet. The aggressiveness monitor raises `extra_instr` to slow a

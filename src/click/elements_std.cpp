@@ -13,8 +13,6 @@ void register_standard_elements(Registry& r) {
   r.register_class("DecIPTTL", [] { return std::make_unique<DecIPTTL>(); });
   r.register_class("Counter", [] { return std::make_unique<Counter>(); });
   r.register_class("Discard", [] { return std::make_unique<Discard>(); });
-  r.register_class("Classifier", [] { return std::make_unique<Classifier>(); });
-  r.register_class("Tee", [] { return std::make_unique<Tee>(); });
   r.register_class("ControlShim", [] { return std::make_unique<ControlShim>(); });
   r.register_class("Queue", [] { return std::make_unique<Queue>(); });
   r.register_class("Unqueue", [] { return std::make_unique<Unqueue>(); });

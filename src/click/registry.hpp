@@ -30,8 +30,8 @@ class Registry {
 };
 
 /// Register the framework's standard elements (FromDevice, ToDevice, Queue,
-/// Unqueue, CheckIPHeader, DecIPTTL, Counter, Discard, Classifier, Tee,
-/// ControlShim). Application elements register via apps::register_elements.
+/// Unqueue, CheckIPHeader, DecIPTTL, Counter, Discard, ControlShim).
+/// Application elements register via apps::register_app_elements.
 void register_standard_elements(Registry& r);
 
 }  // namespace pp::click

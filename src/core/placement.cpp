@@ -7,23 +7,17 @@
 
 namespace pp::core {
 
-PlacementEvaluator::PlacementEvaluator(SoloProfiler& solo, int threads)
-    : solo_(solo), threads_(threads < 1 ? 1 : threads) {}
+PlacementEvaluator::PlacementEvaluator(SoloProfiler& solo) : solo_(solo) {}
 
 Scenario PlacementEvaluator::placement_scenario(const std::vector<FlowSpec>& flows,
                                                 const std::vector<int>& socket_of_flow,
                                                 int seed_index) const {
   Testbed& tb = solo_.testbed();
   const int per_socket = tb.machine_config().cores_per_socket;
-  RunConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(seed_index + 1) * 15485863;
-  cfg.warmup_ms = tb.default_warmup_ms();
-  cfg.measure_ms = tb.default_measure_ms();
-  cfg.budget_ms = tb.run_budget_ms();
-  cfg.flows = flows;
+  RunConfig cfg = tb.configure(flows, static_cast<std::uint64_t>(seed_index + 1) * 15485863);
   int next_core[2] = {0, per_socket};
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    cfg.placement.push_back(FlowPlacement{next_core[socket_of_flow[i]]++, -1});
+    cfg.placement[i].core = next_core[socket_of_flow[i]]++;
   }
   return Scenario::of(tb, cfg);
 }
@@ -74,35 +68,22 @@ PlacementStudy PlacementEvaluator::evaluate(const std::vector<FlowSpec>& flows) 
     for (int s = 0; s < seeds; ++s) jobs.push_back(placement_scenario(flows, p, s));
   }
 
-  const auto runs = solo_.store().get_or_run_many(jobs, threads_);
+  const ScenarioRuns runs = solo_.store().get_or_run_many(jobs, solo_.threads());
 
   std::vector<FlowMetrics> solo;
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    solo.push_back(SoloProfiler::merge_plan(
-        {runs.begin() + static_cast<std::ptrdiff_t>(i * n),
-         runs.begin() + static_cast<std::ptrdiff_t>((i + 1) * n)}));
+    solo.push_back(SoloProfiler::merge_plan(slice(runs, i * n, n)));
   }
 
   PlacementStudy study;
   for (std::size_t p = 0; p < placements.size(); ++p) {
-    std::vector<FlowMetrics> pooled;
-    for (int s = 0; s < seeds; ++s) {
-      const ScenarioResult& run = *runs[grid_base + p * n + static_cast<std::size_t>(s)];
-      if (pooled.empty()) {
-        pooled = run;
-      } else {
-        for (std::size_t i = 0; i < run.size(); ++i) {
-          pooled[i].seconds += run[i].seconds;
-          pooled[i].delta += run[i].delta;
-        }
-      }
-    }
-
     PlacementOutcome outcome;
     outcome.socket_of_flow = placements[p];
     double sum = 0;
     for (std::size_t i = 0; i < flows.size(); ++i) {
-      const double d = drop_pct(solo[i], pooled[i]);
+      std::vector<FlowMetrics> per_seed;
+      for (std::size_t s = 0; s < n; ++s) per_seed.push_back((*runs[grid_base + p * n + s])[i]);
+      const double d = drop_pct(solo[i], merge_metrics(per_seed));
       outcome.per_flow_drop.push_back(d);
       sum += d;
     }

@@ -31,14 +31,15 @@ struct PlacementStudy {
 
 class PlacementEvaluator {
  public:
-  PlacementEvaluator(SoloProfiler& solo, int threads);
+  /// Fans every study out over up to `solo.threads()` host threads.
+  explicit PlacementEvaluator(SoloProfiler& solo);
 
   /// `flows` must have exactly cores-many entries (12). Placements that are
   /// equivalent up to permuting flows of the same type within a socket (and
   /// swapping the sockets) are evaluated once.
   [[nodiscard]] PlacementStudy evaluate(const std::vector<FlowSpec>& flows) const;
 
-  [[nodiscard]] int threads() const { return threads_; }
+  [[nodiscard]] SoloProfiler& solo() const { return solo_; }
 
  private:
   [[nodiscard]] Scenario placement_scenario(const std::vector<FlowSpec>& flows,
@@ -46,7 +47,6 @@ class PlacementEvaluator {
                                             int seed_index) const;
 
   SoloProfiler& solo_;
-  int threads_;
 };
 
 }  // namespace pp::core

@@ -202,9 +202,9 @@ bool ProfileStore::is_ready(const ScenarioKey& k) const {
   return e->ready;
 }
 
-std::vector<std::shared_ptr<const ScenarioResult>> ProfileStore::get_or_run_many(
-    const std::vector<Scenario>& scenarios, int threads) {
-  std::vector<std::shared_ptr<const ScenarioResult>> out(scenarios.size());
+ScenarioRuns ProfileStore::get_or_run_many(const std::vector<Scenario>& scenarios,
+                                           int threads) {
+  ScenarioRuns out(scenarios.size());
   std::vector<ScenarioKey> keys;
   keys.reserve(scenarios.size());
   for (const Scenario& s : scenarios) keys.push_back(scenario_key(s));

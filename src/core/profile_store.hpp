@@ -94,8 +94,8 @@ class ProfileStore {
   /// list runs once: later slots share the first slot's pointer and bump no
   /// counter. If any scenario fails, every job still completes, then the
   /// lowest-index error is rethrown (thread-count invariant).
-  [[nodiscard]] std::vector<std::shared_ptr<const ScenarioResult>> get_or_run_many(
-      const std::vector<Scenario>& scenarios, int threads);
+  [[nodiscard]] ScenarioRuns get_or_run_many(const std::vector<Scenario>& scenarios,
+                                             int threads);
 
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const std::string& cache_dir() const { return dir_; }

@@ -25,6 +25,12 @@ double drop_pct(const FlowMetrics& solo, const FlowMetrics& measured) {
   return s <= 0 ? 0.0 : (s - c) / s * 100.0;
 }
 
+double competing_refs_per_sec(const ScenarioResult& run) {
+  double refs = 0;
+  for (std::size_t i = 1; i < run.size(); ++i) refs += run[i].refs_per_sec();
+  return refs;
+}
+
 SoloProfiler::SoloProfiler(Testbed& tb, int seeds, ProfileStore& store, int threads)
     : tb_(tb), seeds_(seeds), store_(store), threads_(threads < 1 ? 1 : threads) {
   PP_CHECK(seeds >= 1);
@@ -40,8 +46,7 @@ std::vector<Scenario> SoloProfiler::plan(const FlowSpec& spec) const {
   return out;
 }
 
-FlowMetrics SoloProfiler::merge_plan(
-    const std::vector<std::shared_ptr<const ScenarioResult>>& results) {
+FlowMetrics SoloProfiler::merge_plan(const ScenarioRuns& results) {
   std::vector<FlowMetrics> runs;
   runs.reserve(results.size());
   for (const auto& r : results) runs.push_back((*r)[0]);

@@ -24,6 +24,10 @@ namespace pp::core {
 /// Relative throughput drop of `measured` against `solo`, in percent.
 [[nodiscard]] double drop_pct(const FlowMetrics& solo, const FlowMetrics& measured);
 
+/// The competition a target on flow 0 saw in `run`: the summed refs/sec of
+/// every other flow, in flow order.
+[[nodiscard]] double competing_refs_per_sec(const ScenarioResult& run);
+
 class SoloProfiler {
  public:
   /// Profiles run-or-recall through `store`; profile_spec fans its seeds
@@ -37,8 +41,7 @@ class SoloProfiler {
 
   /// Merge the planned scenarios' results (first flow of each) in seed
   /// order; the counterpart of plan().
-  [[nodiscard]] static FlowMetrics merge_plan(
-      const std::vector<std::shared_ptr<const ScenarioResult>>& results);
+  [[nodiscard]] static FlowMetrics merge_plan(const ScenarioRuns& results);
 
   /// Seed-averaged solo profile of a flow type; memoized by content in the
   /// store, not in this object.

@@ -157,6 +157,11 @@ std::string ScenarioKey::hex() const { return strformat("%016llx%016llx",
                                                         static_cast<unsigned long long>(hi),
                                                         static_cast<unsigned long long>(lo)); }
 
+ScenarioRuns slice(const ScenarioRuns& runs, std::size_t at, std::size_t n) {
+  return {runs.begin() + static_cast<std::ptrdiff_t>(at),
+          runs.begin() + static_cast<std::ptrdiff_t>(at + n)};
+}
+
 std::string describe(const Scenario& s) {
   std::string out;
   FlowType last = FlowType::kIp;

@@ -8,8 +8,8 @@
 // scenario_key), and running a scenario is a pure function of its fields
 // (each run builds a fresh, self-contained, deterministic Machine). The
 // ProfileStore builds on both properties; the profiling/prediction stack
-// (SoloProfiler, SweepProfiler, ContentionPredictor, PlacementEvaluator)
-// is a set of thin views that plan scenarios and aggregate their results.
+// (SoloProfiler, SweepProfiler, PlacementEvaluator, predict_drop) is a set
+// of thin views that plan scenarios and aggregate their results.
 #pragma once
 
 #include <condition_variable>
@@ -53,8 +53,8 @@ struct Scenario {
   /// serve regardless, and a generous deadline is bit-identical to none).
   std::chrono::steady_clock::time_point deadline{};
 
-  /// Capture a Testbed run as a scenario (the testbed contributes machine
-  /// config and workload sizes; the RunConfig contributes the rest).
+  /// Capture a configured run as a scenario (the testbed contributes
+  /// machine config and workload sizes; the RunConfig contributes the rest).
   [[nodiscard]] static Scenario of(const Testbed& tb, const RunConfig& cfg);
 };
 
@@ -92,8 +92,14 @@ inline constexpr int kScenarioSchemaVersion = 3;
 /// (docs/scenario_engine.md, "Setup groups"). Never persisted.
 [[nodiscard]] ScenarioKey setup_key(const Scenario& s);
 
-/// Per-flow metrics in flow order — exactly what Testbed::run returns.
+/// Per-flow metrics in flow order.
 using ScenarioResult = std::vector<FlowMetrics>;
+
+/// A fan-out's results (ProfileStore::get_or_run_many), in plan order.
+using ScenarioRuns = std::vector<std::shared_ptr<const ScenarioResult>>;
+
+/// The `n` fan-out results starting at slot `at`.
+[[nodiscard]] ScenarioRuns slice(const ScenarioRuns& runs, std::size_t at, std::size_t n);
 
 /// Run a scenario on a fresh machine. Pure: no global state is read or
 /// written, so concurrent calls from host threads are safe and results are

@@ -52,8 +52,14 @@ double SweepCurve::drop_at(double refs) const {
   return pts_.back().drop_pct;
 }
 
-SweepProfiler::SweepProfiler(SoloProfiler& solo, int competitors, int threads)
-    : solo_(solo), competitors_(competitors), threads_(threads < 1 ? 1 : threads) {
+double predict_drop(const SweepResult& target, const std::vector<FlowMetrics>& competitor_solos) {
+  double refs = 0;
+  for (const FlowMetrics& c : competitor_solos) refs += c.refs_per_sec();
+  return target.curve.drop_at(refs);
+}
+
+SweepProfiler::SweepProfiler(SoloProfiler& solo, int competitors)
+    : solo_(solo), competitors_(competitors) {
   PP_CHECK(competitors >= 1 && competitors <= 5);
 }
 
@@ -76,13 +82,8 @@ std::vector<SynParams> SweepProfiler::default_levels(Scale s) {
 Scenario SweepProfiler::level_scenario(const FlowSpec& target, ContentionMode mode,
                                        const SynParams& level, int seed_index) const {
   Testbed& tb = solo_.testbed();
-  RunConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(seed_index + 1) * 104729;
-  cfg.warmup_ms = tb.default_warmup_ms();
-  cfg.measure_ms = tb.default_measure_ms();
-  cfg.budget_ms = tb.run_budget_ms();
-  cfg.flows.push_back(target);
-  cfg.placement.push_back(FlowPlacement{0, 0});
+  RunConfig cfg = tb.configure({target}, static_cast<std::uint64_t>(seed_index + 1) * 104729);
+  cfg.placement[0].data_domain = 0;
   for (int c = 0; c < competitors_; ++c) {
     cfg.flows.push_back(FlowSpec::syn_flow(level, static_cast<std::uint64_t>(c + 2)));
     FlowPlacement pl;
@@ -116,8 +117,8 @@ std::vector<SweepResult> SweepProfiler::sweep_many(const std::vector<FlowSpec>& 
   // Lay every scenario of every target — solo baselines first, then the
   // (level, seed) grid — into one flat job list. Each job writes its own
   // pre-assigned slot in the store fan-out, and aggregation below walks the
-  // slots in serial order, so the result is bit-identical whatever
-  // threads_ is and however many sweeps share the store concurrently.
+  // slots in serial order, so the result is bit-identical whatever the
+  // thread count is and however many sweeps share the store concurrently.
   const int seeds = solo_.seeds();
   const std::size_t per_target =
       static_cast<std::size_t>(seeds) * (1 + levels.size());  // solo + grid
@@ -132,19 +133,16 @@ std::vector<SweepResult> SweepProfiler::sweep_many(const std::vector<FlowSpec>& 
     }
   }
 
-  const auto runs = solo_.store().get_or_run_many(jobs, threads_);
+  const ScenarioRuns runs = solo_.store().get_or_run_many(jobs, solo_.threads());
 
   std::vector<SweepResult> out;
   out.reserve(targets.size());
   for (std::size_t t = 0; t < targets.size(); ++t) {
     const std::size_t base = t * per_target;
-    const std::vector<std::shared_ptr<const ScenarioResult>> solo_runs(
-        runs.begin() + static_cast<std::ptrdiff_t>(base),
-        runs.begin() + static_cast<std::ptrdiff_t>(base + static_cast<std::size_t>(seeds)));
     SweepResult result;
     result.target = targets[t].type;
     result.mode = mode;
-    result.solo = SoloProfiler::merge_plan(solo_runs);
+    result.solo = SoloProfiler::merge_plan(slice(runs, base, static_cast<std::size_t>(seeds)));
     for (std::size_t l = 0; l < levels.size(); ++l) {
       std::vector<FlowMetrics> target_runs;
       double comp_refs_sum = 0;
@@ -152,9 +150,7 @@ std::vector<SweepResult> SweepProfiler::sweep_many(const std::vector<FlowSpec>& 
         const ScenarioResult& run =
             *runs[base + static_cast<std::size_t>(seeds) * (1 + l) + static_cast<std::size_t>(s)];
         target_runs.push_back(run[0]);
-        double refs = 0;
-        for (std::size_t i = 1; i < run.size(); ++i) refs += run[i].refs_per_sec();
-        comp_refs_sum += refs;
+        comp_refs_sum += competing_refs_per_sec(run);
       }
       SweepLevel lvl;
       lvl.syn = levels[l];

@@ -29,7 +29,7 @@ enum class ContentionMode : std::uint8_t { kCacheOnly, kMemCtrlOnly, kBoth };
 [[nodiscard]] const char* to_string(ContentionMode m);
 
 /// Monotone drop-vs-competing-refs curve with linear interpolation; this is
-/// the per-type profile the predictor reads (prediction step 3).
+/// the per-type profile predict_drop reads (prediction step 3).
 class SweepCurve {
  public:
   struct Point {
@@ -67,11 +67,19 @@ struct SweepResult {
   SweepCurve curve;
 };
 
+/// Prediction step 3 (Section 4): `target`'s predicted drop (percent) when
+/// it co-runs with flows whose solo profiles are `competitor_solos` — its
+/// curve read at the sum of their solo refs/sec. The paper's "perfect
+/// knowledge" variant (Figure 8b) reads the curve at the competitors'
+/// measured refs/sec instead.
+[[nodiscard]] double predict_drop(const SweepResult& target,
+                                  const std::vector<FlowMetrics>& competitor_solos);
+
 class SweepProfiler {
  public:
   /// `competitors` SYN flows (1..5) co-run with the target; every sweep
-  /// fans out over up to `threads` host threads.
-  SweepProfiler(SoloProfiler& solo, int competitors, int threads);
+  /// fans out over up to `solo.threads()` host threads.
+  SweepProfiler(SoloProfiler& solo, int competitors);
 
   /// Ramp schedule: SYN (reads, instr) pairs from near-idle to SYN_MAX.
   /// Batches are kept short (small reads, modest instr) so competitor tasks
@@ -79,13 +87,14 @@ class SweepProfiler {
   /// fine-grained.
   [[nodiscard]] static std::vector<SynParams> default_levels(Scale s);
 
-  /// The scenario for one (target, level, seed) sweep point (exposed so
-  /// bench drivers can compose bigger store requests).
+  /// The scenario for one (target, level, seed) sweep point: the testbed's
+  /// configure()d run (windows, budget, deadline) with the competitors
+  /// placed per `mode`.
   [[nodiscard]] Scenario level_scenario(const FlowSpec& target, ContentionMode mode,
                                         const SynParams& level, int seed_index) const;
 
   /// Sweep the ramp for one target. Every (level, seed) run is an
-  /// independent machine executing on up to `threads()` host threads.
+  /// independent machine executing on up to `solo().threads()` host threads.
   [[nodiscard]] SweepResult sweep(const FlowSpec& target, ContentionMode mode,
                                   const std::vector<SynParams>& levels) const;
 
@@ -98,13 +107,11 @@ class SweepProfiler {
       const std::vector<FlowSpec>& targets, ContentionMode mode,
       const std::vector<SynParams>& levels) const;
 
-  [[nodiscard]] int threads() const { return threads_; }
   [[nodiscard]] SoloProfiler& solo() const { return solo_; }
 
  private:
   SoloProfiler& solo_;
   int competitors_;
-  int threads_;
 };
 
 }  // namespace pp::core

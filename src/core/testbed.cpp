@@ -1,8 +1,5 @@
 #include "core/testbed.hpp"
 
-#include "base/check.hpp"
-#include "core/scenario.hpp"
-
 namespace pp::core {
 
 RunConfig RunConfig::simple(std::vector<FlowSpec> flows, std::uint64_t seed) {
@@ -50,15 +47,6 @@ RunConfig Testbed::configure(std::vector<FlowSpec> flows, std::uint64_t seed) co
   cfg.budget_ms = run_budget_ms_;
   cfg.deadline = run_deadline_;
   return cfg;
-}
-
-std::vector<FlowMetrics> Testbed::run(const RunConfig& cfg) const {
-  return run_scenario(Scenario::of(*this, cfg));
-}
-
-FlowMetrics Testbed::run_solo(const FlowSpec& spec) const {
-  RunConfig cfg = configure({spec});
-  return run(cfg)[0];
 }
 
 }  // namespace pp::core

@@ -1,8 +1,9 @@
-// The experiment runner: builds a simulated machine, places flows on cores
-// and their data in NUMA domains, runs a warmup window (cache warm, pools
-// primed), then measures a fixed window and reports per-flow and per-element
-// counter deltas — the simulated equivalent of the paper's OProfile
-// methodology (Section 2).
+// The experiment description: a Testbed holds the simulated machine and
+// workload sizes, and configure() lays out a RunConfig — flows on cores,
+// their data in NUMA domains, a warmup window (cache warm, pools primed) and
+// a measured window. Scenario::of captures the pair and run_scenario
+// (core/scenario.hpp) reports per-flow and per-element counter deltas — the
+// simulated equivalent of the paper's OProfile methodology (Section 2).
 #pragma once
 
 #include <chrono>
@@ -126,14 +127,6 @@ class Testbed {
     return run_deadline_;
   }
   void set_run_deadline(std::chrono::steady_clock::time_point at) { run_deadline_ = at; }
-
-  /// Run an experiment; metrics are returned in flow order. Const — and
-  /// therefore safe to call concurrently from several host threads, each
-  /// run building its own Machine (see core/parallel.hpp).
-  [[nodiscard]] std::vector<FlowMetrics> run(const RunConfig& cfg) const;
-
-  /// One flow alone on core 0 (the paper's "solo run").
-  [[nodiscard]] FlowMetrics run_solo(const FlowSpec& spec) const;
 
  private:
   Scale scale_;

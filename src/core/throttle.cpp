@@ -38,8 +38,6 @@ void AggressivenessGovernor::operator()(sim::Machine& machine,
     const double observed = static_cast<double>(refs - st.last_refs) / dt;
     st.last_refs = refs;
     st.last_now = now;
-    st.last_observed = observed;
-    if (observed > st.max_observed) st.max_observed = observed;
 
     click::ControlShim* shim = find_shim(*h.router);
     if (shim == nullptr) continue;
@@ -58,20 +56,6 @@ void AggressivenessGovernor::operator()(sim::Machine& machine,
       shim->set_extra_instr(shim->extra_instr() * 9 / 10);
     }
   }
-}
-
-double AggressivenessGovernor::max_observed(int flow_index) const {
-  for (std::size_t i = 0; i < limits_.size(); ++i) {
-    if (limits_[i].flow_index == flow_index) return states_[i].max_observed;
-  }
-  return 0;
-}
-
-double AggressivenessGovernor::last_observed(int flow_index) const {
-  for (std::size_t i = 0; i < limits_.size(); ++i) {
-    if (limits_[i].flow_index == flow_index) return states_[i].last_observed;
-  }
-  return 0;
 }
 
 }  // namespace pp::core

@@ -26,10 +26,6 @@ class AggressivenessGovernor {
   /// machine; `flows` indexes the limits' flow_index.
   void operator()(sim::Machine& machine, const std::vector<FlowHandle>& flows);
 
-  /// Max refs/sec observed for a flow in any single window (reporting).
-  [[nodiscard]] double max_observed(int flow_index) const;
-  /// Refs/sec observed in the most recent window.
-  [[nodiscard]] double last_observed(int flow_index) const;
   [[nodiscard]] std::uint64_t interventions() const { return interventions_; }
 
   /// Locate the ControlShim in a flow's chain (nullptr if absent).
@@ -40,8 +36,6 @@ class AggressivenessGovernor {
     std::uint64_t last_refs = 0;
     sim::Cycles last_now = 0;
     bool primed = false;
-    double max_observed = 0;
-    double last_observed = 0;
   };
 
   std::vector<Limit> limits_;

@@ -107,6 +107,36 @@ TEST(SessionError, AblationArtifactsHonorAnExpiredDeadline) {
   }
 }
 
+TEST(SessionError, SweepPredictAndPlacementHonorAnExpiredDeadline) {
+  // Sweep levels and placement runs are planned through Testbed::configure
+  // like every other scenario, so they carry the request's deadline and
+  // refuse to start instead of simulating for a request that has failed.
+  ExperimentSpec sweep;
+  sweep.kind = ExperimentKind::kSweep;
+  sweep.flows = {FlowSpec::of(FlowType::kIp)};
+  ExperimentSpec predict;
+  predict.kind = ExperimentKind::kPredict;
+  predict.flows = {FlowSpec::of(FlowType::kIp), FlowSpec::of(FlowType::kMon)};
+  ExperimentSpec search;
+  search.kind = ExperimentKind::kPlacementSearch;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    search.flows.push_back(FlowSpec::of(i < 6 ? FlowType::kIp : FlowType::kMon, i + 1));
+  }
+  for (ExperimentSpec* spec : {&sweep, &predict, &search}) {
+    spec->seeds = 1;
+    const char* kind = to_string(spec->kind);
+    core::ProfileStore store;
+    SessionOptions opts = test_options();
+    opts.wall_deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    Session session(opts, &store);
+    const Result r = session.run(*spec);
+    ASSERT_FALSE(r.ok()) << kind;
+    EXPECT_EQ(r.error->kind, StatusKind::kBudgetExceeded) << kind;
+    EXPECT_EQ(r.error->site, "scenario.deadline") << kind;
+    EXPECT_EQ(store.stats().simulated, 0U) << kind;
+  }
+}
+
 TEST(SessionError, AblationArtifactsHonorTheRunBudget) {
   for (const char* name : {"numa", "pipeline", "throttle"}) {
     core::ProfileStore store;

@@ -241,8 +241,8 @@ TEST(ViewStack, EveryViewRunsOnTheSessionsThreadCount) {
   for (const int threads : {1, 3}) {
     ViewStack v(test_options(threads), 0, store);
     EXPECT_EQ(v.solo.threads(), threads);
-    EXPECT_EQ(v.sweep.threads(), threads);
-    EXPECT_EQ(v.placement.threads(), threads);
+    EXPECT_EQ(v.sweep.solo().threads(), threads);
+    EXPECT_EQ(v.placement.solo().threads(), threads);
   }
 }
 

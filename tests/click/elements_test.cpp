@@ -133,50 +133,6 @@ TEST_F(ElementTest, DiscardRecycles) {
   EXPECT_EQ(machine_.core(0).counters().drops, 1U);
 }
 
-TEST_F(ElementTest, ClassifierDispatchesByPattern) {
-  Classifier cls;
-  ElementEnv e = env();
-  // Match UDP (proto field at l3 offset 9 => byte 23) to port 0, rest to 1.
-  ASSERT_FALSE(cls.configure({"23/11", "-"}, e).has_value());
-  Sink udp;
-  Sink rest;
-  cls.connect_output(0, &udp, 0);
-  cls.connect_output(1, &rest, 0);
-  Context cx{machine_.core(0)};
-  cls.push(cx, 0, make_packet({1, 2, 3, 4, net::kProtoUdp}));
-  cls.push(cx, 0, make_packet({1, 2, 3, 4, net::kProtoTcp}));
-  EXPECT_EQ(udp.packets.size(), 1U);
-  EXPECT_EQ(rest.packets.size(), 1U);
-}
-
-TEST_F(ElementTest, ClassifierDropsNonMatching) {
-  Classifier cls;
-  ElementEnv e = env();
-  ASSERT_FALSE(cls.configure({"23/06"}, e).has_value());  // TCP only
-  Sink tcp;
-  cls.connect_output(0, &tcp, 0);
-  Context cx{machine_.core(0)};
-  cls.push(cx, 0, make_packet({1, 2, 3, 4, net::kProtoUdp}));
-  EXPECT_TRUE(tcp.packets.empty());
-  EXPECT_EQ(pool_.available(), 32U);
-}
-
-TEST_F(ElementTest, TeeDuplicates) {
-  Tee tee;
-  ElementEnv e = env();
-  ASSERT_FALSE(tee.configure({"2"}, e).has_value());
-  Sink s0;
-  Sink s1;
-  tee.connect_output(0, &s0, 0);
-  tee.connect_output(1, &s1, 0);
-  Context cx{machine_.core(0)};
-  tee.push(cx, 0, make_packet({1, 2, 3, 4, net::kProtoUdp}));
-  ASSERT_EQ(s0.packets.size(), 1U);
-  ASSERT_EQ(s1.packets.size(), 1U);
-  EXPECT_EQ(s0.packets[0], s1.packets[0]);
-  EXPECT_EQ(pool_.available(), 32U);  // both copies recycled
-}
-
 TEST_F(ElementTest, ControlShimBurnsConfiguredInstructions) {
   ControlShim shim;
   ElementEnv e = env();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "click/elements_basic.hpp"
+#include "click/elements_io.hpp"
 #include "sim/machine.hpp"
 
 namespace pp::click {
@@ -34,9 +35,9 @@ TEST_F(ParserTest, DeclarationAndChain) {
 }
 
 TEST_F(ParserTest, DeclarationWithArgs) {
-  const auto err = parse("t :: Tee(3);");
+  const auto err = parse("src :: FromDevice(RANDOM, BYTES 64);");
   ASSERT_FALSE(err.has_value()) << *err;
-  EXPECT_EQ(router_->find("t")->class_name(), "Tee");
+  EXPECT_EQ(router_->find("src")->class_name(), "FromDevice");
 }
 
 TEST_F(ParserTest, PortSyntax) {
@@ -111,10 +112,13 @@ TEST_F(ParserTest, BadPortErrors) {
 }
 
 TEST_F(ParserTest, ArgumentsWithNestedCommas) {
-  const auto err = parse("cls :: Classifier(23/11, -);");
+  const auto err = parse("src :: FromDevice(RANDOM, BYTES 64, BUFS 8); src -> Discard;");
   ASSERT_FALSE(err.has_value()) << *err;
   ASSERT_FALSE(router_->initialize().has_value());  // configure runs here
-  EXPECT_EQ(router_->find("cls")->n_outputs(), 2);
+  // The third comma-separated argument reached configure().
+  auto* src = dynamic_cast<FromDevice*>(router_->find("src"));
+  ASSERT_NE(src, nullptr);
+  EXPECT_EQ(src->pool()->available(), 8U);
 }
 
 TEST_F(ParserTest, EmptyConfigIsFine) {

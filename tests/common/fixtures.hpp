@@ -82,7 +82,7 @@ struct ProfilerRig {
                        int competitors = 5, std::uint64_t seed = 1,
                        std::uint32_t period_max = 0)
       : tb(quick_testbed(f, seed, period_max)), solo(tb, seeds, store, kTestThreads),
-        sweep(solo, competitors, kTestThreads) {}
+        sweep(solo, competitors) {}
 };
 
 /// Bitwise equality of two counter sets (the repeatability lock: equal

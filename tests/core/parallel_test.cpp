@@ -46,12 +46,12 @@ TEST(ParallelSweep, ThreadCountInvariance) {
   // reading the serial pass's memoized results.
   ProfileStore store_a;
   SoloProfiler solo_a(tb, 1, store_a, 1);
-  SweepProfiler serial(solo_a, 3, 1);
+  SweepProfiler serial(solo_a, 3);
   const SweepResult a = serial.sweep(FlowSpec::of(FlowType::kIp), ContentionMode::kBoth, levels);
 
   ProfileStore store_b;
   SoloProfiler solo_b(tb, 1, store_b, 4);
-  SweepProfiler parallel4(solo_b, 3, 4);
+  SweepProfiler parallel4(solo_b, 3);
   const SweepResult b =
       parallel4.sweep(FlowSpec::of(FlowType::kIp), ContentionMode::kBoth, levels);
 
@@ -80,14 +80,14 @@ TEST(ParallelSweep, ConcurrentSweepsSharingOneSoloProfilerAreSafe) {
 
   ProfileStore serial_store;
   SoloProfiler serial_solo(tb, 1, serial_store, 1);
-  SweepProfiler serial(serial_solo, 3, 1);
+  SweepProfiler serial(serial_solo, 3);
   const SweepResult ref =
       serial.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
   const std::uint64_t serial_simulated = serial_store.stats().simulated;
 
   ProfileStore store;
   SoloProfiler solo(tb, 1, store, 2);
-  SweepProfiler shared(solo, 3, 2);  // > 1 thread inside each sweep
+  SweepProfiler shared(solo, 3);  // > 1 thread inside each sweep
   SweepResult a;
   SweepResult b;
   std::thread t1([&] {
@@ -124,12 +124,12 @@ TEST(ParallelSweep, ThreadCountInvarianceSampled) {
   tb.machine_config().fidelity = sim::SimFidelity::kSampled;
   ProfileStore store_a;
   SoloProfiler solo_a(tb, 1, store_a, 1);
-  SweepProfiler serial(solo_a, 2, 1);
+  SweepProfiler serial(solo_a, 2);
   const SweepResult a = serial.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
 
   ProfileStore store_b;
   SoloProfiler solo_b(tb, 1, store_b, 3);
-  SweepProfiler parallel3(solo_b, 2, 3);
+  SweepProfiler parallel3(solo_b, 2);
   const SweepResult b =
       parallel3.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
 

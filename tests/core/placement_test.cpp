@@ -25,7 +25,7 @@ class PlacementTest : public ::testing::Test {
   PlacementTest()
       : tb_(Scale::kQuick, 1),
         solo_(tb_, 1, suite_store(), pp::test::kTestThreads),
-        eval_(solo_, pp::test::kTestThreads) {}
+        eval_(solo_) {}
 
   Testbed tb_;
   SoloProfiler solo_;

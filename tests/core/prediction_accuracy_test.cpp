@@ -14,27 +14,33 @@
 #include <cstdio>
 
 #include "common/fixtures.hpp"
-#include "core/predictor.hpp"
+#include "core/scenario.hpp"
+#include "core/sweep.hpp"
 
 namespace pp::core {
 namespace {
+
+/// `target`'s predicted drop next to 5 FW competitors: its normal-placement
+/// SYN sweep read at the competitors' summed solo refs/sec.
+double predict_vs_five_fw(const pp::test::ProfilerRig& rig, FlowType target) {
+  const SweepResult profile = rig.sweep.sweep(FlowSpec::of(target), ContentionMode::kBoth,
+                                              SweepProfiler::default_levels(rig.tb.scale()));
+  return predict_drop(profile, std::vector<FlowMetrics>(5, rig.solo.profile(FlowType::kFw)));
+}
 
 /// Prediction-vs-measured error (in percentage points of throughput drop)
 /// for `target` co-running with 5 FW competitors, everything at `f`.
 double prediction_error_pts(sim::SimFidelity f, FlowType target) {
   pp::test::ProfilerRig rig(f);
-  ContentionPredictor pred(rig.solo, rig.sweep);
 
   RunConfig cfg = rig.tb.configure({FlowSpec::of(target)});
   for (int i = 0; i < 5; ++i) {
     cfg.flows.push_back(FlowSpec::of(FlowType::kFw, static_cast<std::uint64_t>(i) + 2));
     cfg.placement.push_back(FlowPlacement{1 + i, -1});
   }
-  const std::vector<FlowMetrics> corun = rig.tb.run(cfg);
+  const ScenarioResult corun = run_scenario(Scenario::of(rig.tb, cfg));
   const double actual = drop_pct(rig.solo.profile(target), corun[0]);
-  const double predicted =
-      pred.predict(target, {FlowType::kFw, FlowType::kFw, FlowType::kFw, FlowType::kFw,
-                            FlowType::kFw});
+  const double predicted = predict_vs_five_fw(rig, target);
   // Printed, not only asserted, so each tier's error is tracked run to run.
   std::printf("[ measured ] %s %s + 5 FW: predicted %.2f%%, measured %.2f%%, error %+.2f pts\n",
               sim::to_string(f), to_string(target), predicted, actual, predicted - actual);
@@ -88,13 +94,11 @@ TEST(PredictionAccuracyRest, IpAndReExactWithinEnvelope) {
 // drop as the exact tier for the same mix (this is the differential view of
 // the same claim, independent of the co-run measurement).
 TEST(PredictionAccuracyRest, TiersAgreeOnPrediction) {
-  const std::vector<FlowType> comps(5, FlowType::kFw);
   double exact_pred = 0;
   for (const sim::SimFidelity f :
        {sim::SimFidelity::kExact, sim::SimFidelity::kSampled, sim::SimFidelity::kStreamed}) {
-    pp::test::ProfilerRig rig(f);
-    ContentionPredictor pred(rig.solo, rig.sweep);
-    const double p = pred.predict(FlowType::kMon, comps);
+    const pp::test::ProfilerRig rig(f);
+    const double p = predict_vs_five_fw(rig, FlowType::kMon);
     if (f == sim::SimFidelity::kExact) {
       exact_pred = p;
     } else {

@@ -1,42 +1,50 @@
-#include "core/predictor.hpp"
-
+// The paper's predictor (Section 4) through its one code path: a target's
+// normal-placement SYN sweep plus its competitors' solo profiles, combined by
+// predict_drop.
 #include <gtest/gtest.h>
 
 #include "common/fixtures.hpp"
+#include "core/scenario.hpp"
+#include "core/sweep.hpp"
 
 namespace pp::core {
 namespace {
 
 class PredictorTest : public ::testing::Test {
  protected:
-  PredictorTest() : tb_(rig_.tb), solo_(rig_.solo), sweep_(rig_.sweep), pred_(solo_, sweep_) {}
+  PredictorTest() : tb_(rig_.tb), solo_(rig_.solo), sweep_(rig_.sweep) {}
+
+  /// Offline profiling of `t`: solo profile + SYN sweep, normal NUMA-local
+  /// placement.
+  [[nodiscard]] SweepResult profile(FlowType t) const {
+    return sweep_.sweep(FlowSpec::of(t), ContentionMode::kBoth,
+                        SweepProfiler::default_levels(tb_.scale()));
+  }
+
+  /// Five competitors of type `t`, at their solo profile.
+  [[nodiscard]] std::vector<FlowMetrics> five(FlowType t) const {
+    return std::vector<FlowMetrics>(5, solo_.profile(t));
+  }
 
   pp::test::ProfilerRig rig_;
   Testbed& tb_;
   SoloProfiler& solo_;
   SweepProfiler& sweep_;
-  ContentionPredictor pred_;
 };
 
-TEST_F(PredictorTest, SoloRefsMatchProfiler) {
-  EXPECT_DOUBLE_EQ(pred_.solo_refs_per_sec(FlowType::kFw),
-                   solo_.profile(FlowType::kFw).refs_per_sec());
-}
-
 TEST_F(PredictorTest, PredictSumsCompetitorRefs) {
-  // predict() must equal predict_known() at the sum of solo refs.
-  const std::vector<FlowType> comps = {FlowType::kFw, FlowType::kFw, FlowType::kFw,
-                                       FlowType::kFw, FlowType::kFw};
+  // predict_drop must read the curve at the sum of the competitors' solo refs.
+  const std::vector<FlowMetrics> comps = five(FlowType::kFw);
   double sum = 0;
-  for (const FlowType c : comps) sum += pred_.solo_refs_per_sec(c);
-  EXPECT_DOUBLE_EQ(pred_.predict(FlowType::kMon, comps),
-                   pred_.predict_known(FlowType::kMon, sum));
+  for (const FlowMetrics& c : comps) sum += c.refs_per_sec();
+  const SweepResult mon = profile(FlowType::kMon);
+  EXPECT_DOUBLE_EQ(predict_drop(mon, comps), mon.curve.drop_at(sum));
 }
 
 TEST_F(PredictorTest, MorePressureNeverPredictsLess) {
-  pred_.profile(FlowType::kMon);
-  const double low = pred_.predict_known(FlowType::kMon, 20e6);
-  const double high = pred_.predict_known(FlowType::kMon, 250e6);
+  const SweepCurve curve = profile(FlowType::kMon).curve;
+  const double low = curve.drop_at(20e6);
+  const double high = curve.drop_at(250e6);
   EXPECT_LE(low, high);
   EXPECT_GT(high, 5.0);
 }
@@ -44,17 +52,15 @@ TEST_F(PredictorTest, MorePressureNeverPredictsLess) {
 TEST_F(PredictorTest, InsensitiveTargetPredictsSmallDrop) {
   // FW has almost no L3 hits to lose: even heavy competition predicts a
   // small drop relative to MON's.
-  const double fw = pred_.predict_known(FlowType::kFw, 200e6);
-  const double mon = pred_.predict_known(FlowType::kMon, 200e6);
+  const double fw = profile(FlowType::kFw).curve.drop_at(200e6);
+  const double mon = profile(FlowType::kMon).curve.drop_at(200e6);
   EXPECT_LT(fw, mon);
 }
 
 TEST_F(PredictorTest, ProfileIsIdempotent) {
-  pred_.profile(FlowType::kVpn);
+  const SweepCurve curve1 = profile(FlowType::kVpn).curve;
   const auto simulated_after_first = solo_.store().stats().simulated;
-  const SweepCurve curve1 = pred_.curve(FlowType::kVpn);
-  pred_.profile(FlowType::kVpn);
-  const SweepCurve curve2 = pred_.curve(FlowType::kVpn);
+  const SweepCurve curve2 = profile(FlowType::kVpn).curve;
   // Re-profiling aggregates memoized scenario results; nothing re-simulates
   // and the curve is reproduced bit-identically.
   EXPECT_EQ(solo_.store().stats().simulated, simulated_after_first);
@@ -67,7 +73,7 @@ TEST_F(PredictorTest, ProfileIsIdempotent) {
 }
 
 // End-to-end prediction accuracy on one mix (quick-scale smoke version of
-// Figure 8; the bench reproduces the full matrix).
+// Figure 8; the fig8 artifact reproduces the full matrix).
 TEST_F(PredictorTest, PairwisePredictionWithinTolerance) {
   const FlowType target = FlowType::kMon;
   const FlowType comp = FlowType::kFw;
@@ -76,9 +82,10 @@ TEST_F(PredictorTest, PairwisePredictionWithinTolerance) {
     cfg.flows.push_back(FlowSpec::of(comp, i + 2));
     cfg.placement.push_back(FlowPlacement{1 + i, -1});
   }
-  const auto run = tb_.run(cfg);
-  const double actual = drop_pct(solo_.profile(target), run[0]);
-  const double predicted = pred_.predict(target, {comp, comp, comp, comp, comp});
+  const ScenarioResult run = run_scenario(Scenario::of(tb_, cfg));
+  const SweepResult mon = profile(target);
+  const double actual = drop_pct(mon.solo, run[0]);
+  const double predicted = predict_drop(mon, five(comp));
   EXPECT_NEAR(predicted, actual, 6.0);
 }
 

@@ -8,6 +8,7 @@
 
 #include "common/fixtures.hpp"
 #include "core/profiler.hpp"
+#include "core/scenario.hpp"
 #include "core/sweep.hpp"
 #include "core/testbed.hpp"
 
@@ -15,6 +16,11 @@ namespace pp::core {
 namespace {
 
 Testbed sampled_testbed() { return pp::test::quick_testbed(sim::SimFidelity::kSampled); }
+
+/// One flow alone on core 0 (the paper's "solo run").
+FlowMetrics solo_run(const Testbed& tb, FlowType t) {
+  return run_scenario(Scenario::of(tb, tb.configure({FlowSpec::of(t)})))[0];
+}
 
 TEST(SampledFidelity, DefaultIsExact) {
   sim::MachineConfig cfg;
@@ -27,8 +33,8 @@ TEST(SampledFidelity, DefaultIsExact) {
 
 TEST(SampledFidelity, SoloRunIsDeterministicUnderFixedSeed) {
   Testbed tb = sampled_testbed();
-  const FlowMetrics a = tb.run_solo(FlowSpec::of(FlowType::kMon));
-  const FlowMetrics b = tb.run_solo(FlowSpec::of(FlowType::kMon));
+  const FlowMetrics a = solo_run(tb, FlowType::kMon);
+  const FlowMetrics b = solo_run(tb, FlowType::kMon);
   EXPECT_EQ(a.delta.packets, b.delta.packets);
   EXPECT_EQ(a.delta.cycles, b.delta.cycles);
   EXPECT_EQ(a.delta.instructions, b.delta.instructions);
@@ -39,9 +45,9 @@ TEST(SampledFidelity, SoloRunIsDeterministicUnderFixedSeed) {
 
 TEST(SampledFidelity, SampleSeedChangesTheDraws) {
   Testbed tb = sampled_testbed();
-  const FlowMetrics a = tb.run_solo(FlowSpec::of(FlowType::kMon));
+  const FlowMetrics a = solo_run(tb, FlowType::kMon);
   tb.machine_config().sample_seed = 12345;
-  const FlowMetrics b = tb.run_solo(FlowSpec::of(FlowType::kMon));
+  const FlowMetrics b = solo_run(tb, FlowType::kMon);
   // Different seed, different tracked residue and RNG streams; the counters
   // should differ slightly but the throughput must stay in the same regime.
   EXPECT_NE(a.delta.cycles, b.delta.cycles);
@@ -52,8 +58,8 @@ TEST(SampledFidelity, SoloProfilesCloseToExact) {
   Testbed exact = pp::test::quick_testbed();
   Testbed sampled = sampled_testbed();
   for (const FlowType t : {FlowType::kIp, FlowType::kMon, FlowType::kFw}) {
-    const FlowMetrics e = exact.run_solo(FlowSpec::of(t));
-    const FlowMetrics s = sampled.run_solo(FlowSpec::of(t));
+    const FlowMetrics e = solo_run(exact, t);
+    const FlowMetrics s = solo_run(sampled, t);
     EXPECT_NEAR(s.pps() / e.pps(), 1.0, 0.03) << to_string(t);
     EXPECT_NEAR(s.refs_per_packet() / (e.refs_per_packet() + 1e-9), 1.0, 0.15)
         << to_string(t);

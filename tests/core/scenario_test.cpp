@@ -136,21 +136,6 @@ TEST(Scenario, RunIsDeterministic) {
   pp::test::expect_metrics_equal(a[0], b[0], "repeat run");
 }
 
-// Testbed::run is a thin wrapper over the scenario engine; both paths must
-// agree bit-for-bit (locked so future refactors keep the delegation exact).
-TEST(Scenario, TestbedRunDelegatesToScenario) {
-  Testbed tb = pp::test::quick_testbed();
-  RunConfig cfg = tb.configure({FlowSpec::of(FlowType::kIp)});
-  cfg.warmup_ms = 0.2;
-  cfg.measure_ms = 0.4;
-  const std::vector<FlowMetrics> via_tb = tb.run(cfg);
-  const ScenarioResult via_scenario = run_scenario(Scenario::of(tb, cfg));
-  ASSERT_EQ(via_tb.size(), via_scenario.size());
-  EXPECT_EQ(via_tb[0].delta.packets, via_scenario[0].delta.packets);
-  EXPECT_EQ(via_tb[0].delta.cycles, via_scenario[0].delta.cycles);
-  EXPECT_EQ(via_tb[0].seconds, via_scenario[0].seconds);
-}
-
 /// An IP target with one SYN competitor, so the SYN fields are in play.
 Scenario syn_pair_scenario() {
   Testbed tb = pp::test::quick_testbed();

@@ -70,7 +70,7 @@ TEST(SweepProfiler, DropGrowsWithCompetition) {
   Testbed tb(Scale::kQuick, 1);
   ProfileStore store;
   SoloProfiler solo(tb, 1, store, pp::test::kTestThreads);
-  SweepProfiler sweep(solo, 5, pp::test::kTestThreads);
+  SweepProfiler sweep(solo, 5);
   const std::vector<SynParams> levels = {{1, 4000, 12}, {32, 0, 12}};
   const SweepResult r = sweep.sweep(FlowSpec::of(FlowType::kMon), ContentionMode::kBoth, levels);
   ASSERT_EQ(r.levels.size(), 2U);
@@ -84,7 +84,7 @@ TEST(SweepProfiler, CacheOnlyPlacementKeepsCompetitorDataRemote) {
   Testbed tb(Scale::kQuick, 1);
   ProfileStore store;
   SoloProfiler solo(tb, 1, store, pp::test::kTestThreads);
-  SweepProfiler sweep(solo, 2, pp::test::kTestThreads);
+  SweepProfiler sweep(solo, 2);
   const SweepResult r =
       sweep.sweep(FlowSpec::of(FlowType::kFw), ContentionMode::kCacheOnly, {{8, 100, 12}});
   ASSERT_EQ(r.levels.size(), 1U);
